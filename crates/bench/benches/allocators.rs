@@ -2,13 +2,13 @@
 //! flagship instance (100 VMs on 50 servers, all catalogs), plus a
 //! production-scale MIEC point (2000 VMs on 500 servers) that records
 //! the optimised-vs-reference speedup in `BENCH_miec.json` at the repo
-//! root.
+//! root, together with sequential MIEC timings at 20k, 100k and 1M VMs
+//! measured on every run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esvm_bench::{assert_no_regression, committed_bench_field, time_best, time_pair_best};
 use esvm_core::{Allocator, AllocatorKind, Miec};
 use esvm_obs::{DiscardSink, MetricsRegistry};
-use esvm_par::Parallelism;
 use esvm_workload::WorkloadConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,73 +91,43 @@ fn certify_first_divergence_is_fp_tie(
     }
 }
 
-/// Measures one sharded scale point: generates the seed-1 instance,
-/// certifies the sharded parallel placement and cost are bit-identical
-/// to the sequential oracle (panicking otherwise, so a recorded timing
-/// can never come from a divergent run), then returns the
-/// lower-envelope `(sequential, parallel)` seconds over `runs` rounds.
+/// Measures one scale point: generates the seed-1 instance and returns
+/// the lower-envelope sequential MIEC seconds over `runs` rounds. With
+/// `check_full_scan`, first asserts the indexed placement and cost are
+/// bit-identical to the full-scan oracle (`without_pruning`), so the
+/// recorded timing cannot come from a divergent run.
 fn measure_scale_point(
     prefix: &str,
     vms: usize,
     servers: usize,
     runs: usize,
-    par: Parallelism,
-) -> (f64, f64) {
+    check_full_scan: bool,
+) -> f64 {
     let problem = WorkloadConfig::new(vms, servers)
         .mean_interarrival(4.0)
         .generate(1)
         .expect("instance");
-    let sequential = Miec::new();
-    let parallel = Miec::new().with_parallelism(par);
-    let mut rng = StdRng::seed_from_u64(7);
-    let seq = sequential.allocate(&problem, &mut rng).unwrap();
-    let shard = parallel.allocate(&problem, &mut rng).unwrap();
-    assert_eq!(
-        seq.placement(),
-        shard.placement(),
-        "sharded MIEC diverged from the sequential oracle at {vms} VMs / {servers} servers"
-    );
-    assert_eq!(
-        seq.total_cost().to_bits(),
-        shard.total_cost().to_bits(),
-        "sharded MIEC cost diverged at {vms} VMs / {servers} servers"
-    );
-    drop((seq, shard));
+    if check_full_scan {
+        let mut rng = StdRng::seed_from_u64(7);
+        let indexed = Miec::new().allocate(&problem, &mut rng).unwrap();
+        let full = Miec::new().without_pruning().allocate(&problem, &mut rng).unwrap();
+        assert_eq!(
+            indexed.placement(),
+            full.placement(),
+            "indexed MIEC diverged from the full scan at {vms} VMs / {servers} servers"
+        );
+        assert_eq!(
+            indexed.total_cost().to_bits(),
+            full.total_cost().to_bits(),
+            "indexed MIEC cost diverged at {vms} VMs / {servers} servers"
+        );
+    }
     let seq_s = time_best(runs, || {
         let mut rng = StdRng::seed_from_u64(7);
-        sequential.allocate(&problem, &mut rng).unwrap().total_cost()
+        Miec::new().allocate(&problem, &mut rng).unwrap().total_cost()
     });
-    let par_s = time_best(runs, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        parallel.allocate(&problem, &mut rng).unwrap().total_cost()
-    });
-    println!(
-        "{prefix}: {vms} VMs / {servers} servers, sequential {seq_s:.3} s, \
-         sharded parallel {par_s:.3} s ({:.2}x), placement exact",
-        seq_s / par_s
-    );
-    (seq_s, par_s)
-}
-
-/// Formats one scale point's `BENCH_miec.json` fields. `None` (a large
-/// point that was skipped this run and has no committed baseline yet)
-/// records `null` timings so the flat-scan reader treats them as
-/// missing.
-fn scale_fields(prefix: &str, vms: usize, servers: usize, measured: Option<(f64, f64)>) -> String {
-    let (seq, par, speedup, exact) = match measured {
-        Some((s, p)) => (
-            format!("{s:.6}"),
-            format!("{p:.6}"),
-            format!("{:.2}", s / p),
-            "true",
-        ),
-        None => ("null".into(), "null".into(), "null".into(), "null"),
-    };
-    format!(
-        ",\n  \"{prefix}_vms\": {vms},\n  \"{prefix}_servers\": {servers},\n  \
-         \"{prefix}_sequential_seconds\": {seq},\n  \"{prefix}_parallel_seconds\": {par},\n  \
-         \"{prefix}_parallel_speedup\": {speedup},\n  \"{prefix}_parallel_placement_exact\": {exact}"
-    )
+    println!("{prefix}: {vms} VMs / {servers} servers, sequential {seq_s:.3} s");
+    seq_s
 }
 
 /// Production-scale point: 2000 VMs on 500 servers. Times the optimised
@@ -225,37 +195,6 @@ fn bench_miec_at_scale(c: &mut Criterion) {
         fast.placement(),
         unpruned.placement(),
         "spec-class pruning changed placements at scale"
-    );
-    // Parallel scoring must be a pure execution detail: bit-identical
-    // placements and cost at scale, with and without pruning. Batch is
-    // pinned at 256: the shard-major batched scan keeps each shard's
-    // ledger state cache-resident across the window, which is where the
-    // sharded engine's win comes from at the large scale points (4.0x
-    // at 1M VMs / 100k servers even on a single core).
-    let par = Parallelism::new(4).with_batch(256);
-    let par_fast = Miec::new()
-        .with_parallelism(par)
-        .allocate(&problem, &mut rng)
-        .unwrap();
-    assert_eq!(
-        fast.placement(),
-        par_fast.placement(),
-        "parallel MIEC diverged from the sequential oracle at scale"
-    );
-    assert_eq!(
-        fast.total_cost().to_bits(),
-        par_fast.total_cost().to_bits(),
-        "parallel MIEC cost diverged at scale"
-    );
-    let par_unpruned = Miec::new()
-        .without_pruning()
-        .with_parallelism(par)
-        .allocate(&problem, &mut rng)
-        .unwrap();
-    assert_eq!(
-        unpruned.placement(),
-        par_unpruned.placement(),
-        "parallel unpruned MIEC diverged at scale"
     );
     let slow = Miec::reference().allocate(&problem, &mut rng).unwrap();
     let placements_identical = fast.placement() == slow.placement();
@@ -391,25 +330,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             trace_overhead * 100.0
         );
     }
-    // Parallel timings: the 4-thread sharded engine (persistent shard
-    // ownership, batched arrivals — see DESIGN §8), pruned and
-    // unpruned. The pre-PR replicate-and-replay timings previously
-    // recorded under `parallel_*` are dropped with that design; these
-    // fields now measure the shipping sharded path. Timings are
-    // recorded honestly along with the host's core count — on a
-    // single-core host a speedup is physically impossible, so the ≥2x
-    // expectation is only asserted when ESVM_REQUIRE_PARALLEL_SPEEDUP=1
-    // (set it on multi-core CI runners), and there at the 20k-VM medium
-    // scale point below, where per-VM scan work dominates dispatch.
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let parallel_s = time_best(7, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        Miec::new()
-            .with_parallelism(par)
-            .allocate(&problem, &mut rng)
-            .unwrap()
-            .total_cost()
-    });
     let unpruned_s = time_best(3, || {
         let mut rng = StdRng::seed_from_u64(7);
         Miec::new()
@@ -418,66 +339,24 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             .unwrap()
             .total_cost()
     });
-    let unpruned_parallel_s = time_best(3, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        Miec::new()
-            .without_pruning()
-            .with_parallelism(par)
-            .allocate(&problem, &mut rng)
-            .unwrap()
-            .total_cost()
-    });
-    let parallel_speedup = optimised_s / parallel_s;
-    let unpruned_parallel_speedup = unpruned_s / unpruned_parallel_s;
-    println!(
-        "miec parallel (4 threads, {host_parallelism} host cores): pruned {parallel_s:.3} s \
-         ({parallel_speedup:.2}x), unpruned {unpruned_s:.3} s -> {unpruned_parallel_s:.3} s \
-         ({unpruned_parallel_speedup:.2}x)"
-    );
+    println!("miec full scan (without pruning): {unpruned_s:.3} s");
 
-    // --- Sharded scale points (ISSUE: 20k CI point + 100k / 1M) ---
+    // --- Scale points, sequential, measured on every run ---
     //
-    // The medium point is cheap enough to measure on every bench run
-    // and is where ESVM_REQUIRE_PARALLEL_SPEEDUP=1 asserts the ≥2x
-    // sharded win (multi-core CI only — see above). The two large
-    // points take minutes and are opt-in via ESVM_SCALE_BENCH=1; when
-    // skipped, their committed measurements are carried forward so a
-    // filtered tier-1 bench run never erases them from the record.
-    let require_speedup = std::env::var("ESVM_REQUIRE_PARALLEL_SPEEDUP").as_deref() == Ok("1");
-    let scale_bench = std::env::var("ESVM_SCALE_BENCH").as_deref() == Ok("1");
-    let medium = measure_scale_point("scale_20k", 20_000, 2_000, 3, par);
-    if require_speedup {
-        let speedup = medium.0 / medium.1;
-        assert!(
-            speedup >= 2.0,
-            "expected >=2x sharded speedup at 20k VMs / 2k servers with 4 \
-             threads on a {host_parallelism}-core host, got {speedup:.2}x"
-        );
-    }
-    let mut large = Vec::new();
-    for (prefix, vms, servers, runs) in
-        [("scale_100k", 100_000, 10_000, 2), ("scale_1m", 1_000_000, 100_000, 1)]
-    {
-        let measured = if scale_bench {
-            let m = measure_scale_point(prefix, vms, servers, runs, par);
-            if require_speedup {
-                let speedup = m.0 / m.1;
-                assert!(
-                    speedup >= 2.0,
-                    "expected >=2x sharded speedup at {vms} VMs / {servers} \
-                     servers on a {host_parallelism}-core host, got {speedup:.2}x"
-                );
-            }
-            Some(m)
-        } else {
-            committed_bench_field(path, &format!("{prefix}_sequential_seconds"))
-                .zip(committed_bench_field(path, &format!("{prefix}_parallel_seconds")))
-        };
-        large.push((prefix, vms, servers, measured));
-    }
-    let mut scale_json = scale_fields("scale_20k", 20_000, 2_000, Some(medium));
-    for (prefix, vms, servers, measured) in large {
-        scale_json.push_str(&scale_fields(prefix, vms, servers, measured));
+    // The 20k point is also checked against the full-scan oracle; the
+    // two large points are too big for that (1M VMs × 100k servers is
+    // 10^11 visits) and rest on the differential suites instead.
+    let mut scale_json = String::new();
+    for (prefix, vms, servers, runs, check) in [
+        ("scale_20k", 20_000, 2_000, 3, true),
+        ("scale_100k", 100_000, 10_000, 2, false),
+        ("scale_1m", 1_000_000, 100_000, 1, false),
+    ] {
+        let seconds = measure_scale_point(prefix, vms, servers, runs, check);
+        scale_json.push_str(&format!(
+            ",\n  \"{prefix}_vms\": {vms},\n  \"{prefix}_servers\": {servers},\n  \
+             \"{prefix}_sequential_seconds\": {seconds:.6}"
+        ));
     }
 
     let speedup = reference_s / optimised_s;
@@ -503,9 +382,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"miec_allocation\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"trace_noop_seconds\": {trace_noop_s:.6},\n  \"trace_noop_overhead\": {trace_noop_overhead:.4},\n  \"trace_seconds\": {trace_enabled_s:.6},\n  \"trace_overhead\": {trace_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"host_parallelism\": {host_parallelism},\n  \"parallel_engine\": \"sharded\",\n  \"parallel_threads\": 4,\n  \"parallel_shards\": {shards},\n  \"parallel_batch\": {batch},\n  \"parallel_seconds\": {parallel_s:.6},\n  \"parallel_speedup\": {parallel_speedup:.2},\n  \"unpruned_seconds\": {unpruned_s:.6},\n  \"unpruned_parallel_seconds\": {unpruned_parallel_s:.6},\n  \"unpruned_parallel_speedup\": {unpruned_parallel_speedup:.2},\n  \"parallel_placement_exact\": true,\n  \"candidates_considered\": {candidates_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"fp_ties\": {fp_ties},\n  \"pruning_placement_exact\": true,\n  \"placements_identical\": {placements_identical},\n  \"divergences_certified_fp_ties\": true{scale_json}\n}}\n",
-        shards = par.shards_override(),
-        batch = par.batch(),
+        "{{\n  \"benchmark\": \"miec_allocation\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"trace_noop_seconds\": {trace_noop_s:.6},\n  \"trace_noop_overhead\": {trace_noop_overhead:.4},\n  \"trace_seconds\": {trace_enabled_s:.6},\n  \"trace_overhead\": {trace_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"host_parallelism\": {host_parallelism},\n  \"unpruned_seconds\": {unpruned_s:.6},\n  \"candidates_considered\": {candidates_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"fp_ties\": {fp_ties},\n  \"pruning_placement_exact\": true,\n  \"placements_identical\": {placements_identical},\n  \"divergences_certified_fp_ties\": true{scale_json}\n}}\n",
     );
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("could not write {path}: {e}");

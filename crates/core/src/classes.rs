@@ -5,8 +5,9 @@
 //! bit-identical marginal scores for any VM. A candidate scan that walks
 //! servers in id order therefore only needs to score the first asleep
 //! member of each class — the strict `<` tie-break would pick exactly
-//! that member anyway — so the pruning is placement-preserving. MIEC's
-//! online scan and the local-search relocate pass both use this.
+//! that member anyway — so the pruning is placement-preserving. The
+//! [`CandidateIndex`](crate::CandidateIndex) behind MIEC and the online
+//! engine, and the local-search relocate pass, both use this.
 
 use esvm_simcore::ServerSpec;
 

@@ -16,7 +16,9 @@
 //! * [`Consolidator`] — a live-migration consolidation post-pass, the
 //!   mechanism the paper contrasts allocation against (Section V);
 //! * [`LocalSearch`] — offline relocate/swap refinement, bounding how
-//!   much MIEC's greediness leaves on the table.
+//!   much MIEC's greediness leaves on the table;
+//! * [`CandidateIndex`] — the awake servers plus one pristine server per
+//!   spec class: the only servers MIEC and [`OnlineEngine`] score.
 //!
 //! All algorithms implement [`Allocator`] and produce a validated
 //! [`Assignment`](esvm_simcore::Assignment) whose energy can be audited
@@ -51,6 +53,7 @@ mod baselines;
 mod classes;
 mod error;
 mod ffps;
+mod index;
 mod miec;
 mod local_search;
 mod migration;
@@ -61,6 +64,7 @@ pub use allocator::Allocator;
 pub use baselines::{BestFit, FirstFit, LowestIdlePower, Random, RoundRobin};
 pub use error::{AllocError, AllocResult};
 pub use ffps::Ffps;
+pub use index::{Argmin, CandidateIndex};
 pub use miec::Miec;
 pub use local_search::{LocalSearch, Refined, SearchMove};
 pub use migration::Consolidator;

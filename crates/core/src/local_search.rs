@@ -1525,7 +1525,7 @@ mod tests {
 
         for par in [
             Parallelism::new(1),
-            Parallelism::new(4).with_shards(3).with_batch(4),
+            Parallelism::new(4).with_shards(3),
         ] {
             let tracer = esvm_obs::CollectingTracer::new();
             let (traced, moves) = LocalSearch::new()

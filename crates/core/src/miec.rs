@@ -1,14 +1,12 @@
 //! The paper's heuristic: Minimum Incremental Energy Cost (MIEC).
 
-use crate::{AllocError, AllocResult, Allocator};
+use crate::{AllocError, AllocResult, Allocator, Argmin, CandidateIndex};
 use esvm_obs::{
     DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
     NoopTracer, Tracer,
 };
-use esvm_par::Parallelism;
 use esvm_simcore::{AllocationProblem, Assignment, ServerId, ServerLedger};
 use rand::RngCore;
-use std::sync::{Mutex, RwLock};
 
 /// The heuristic of Section III.
 ///
@@ -56,7 +54,6 @@ pub struct Miec {
     assumed_duration: Option<u32>,
     reference: bool,
     unpruned: bool,
-    par: Parallelism,
 }
 
 impl Miec {
@@ -126,26 +123,6 @@ impl Miec {
         }
     }
 
-    /// Scores candidates on `par.threads()` threads over persistently
-    /// owned server shards (`par.shards_for(..)` contiguous id ranges),
-    /// batching `par.batch()` arrivals per pool wake-up. Placements,
-    /// costs, and energy breakdowns are **bit-identical** for every
-    /// (threads, shards, batch) triple: workers score their shards
-    /// read-only against the live assignment, the conductor re-scores
-    /// shards dirtied by earlier commits of the same batch, and the
-    /// argmin reduction merges per-shard minima in ascending shard
-    /// order with the same strict `<` (Eq. 7 lowest-id tie-breaking)
-    /// as the sequential scan.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// The configured thread-count policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
     /// The interval used for *scoring* `vm` (the true one, unless a
     /// duration assumption is configured).
     fn scoring_vm(&self, vm: &esvm_simcore::Vm) -> esvm_simcore::Vm {
@@ -176,11 +153,6 @@ impl Miec {
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
-        // Adaptive configurations pick their engine per problem size;
-        // fixed ones resolve to themselves.
-        if self.par.resolve_for(problem.vm_count()).threads() > 1 {
-            return self.run_parallel(problem, admit, sink, metrics, tracer);
-        }
         let _run_span = tracer.span("miec.run");
         // The prepare span makes setup cost visible and, by closing
         // right before the loop, anchors the first decision's
@@ -211,84 +183,52 @@ impl Miec {
                 .collect()
         });
 
-        // Spec classes for candidate pruning (see `crate::classes`): per
-        // VM only the first (lowest-id) asleep member of each class is
-        // scored. The strict `<` below would pick exactly that member
-        // anyway, so placements are unchanged. Awake servers are always
-        // scored.
-        let classes = crate::classes::spec_classes(problem.servers());
-        let class_of = &classes.class_of;
-        // `class_scored[c] == step` marks class `c` as already represented
-        // by an asleep server for the current VM (stamps avoid a per-VM
-        // clear).
-        let mut class_scored: Vec<usize> = vec![usize::MAX; classes.count];
+        // Spec-class pruning: per VM only the awake servers and the
+        // lowest-id empty server of each class are scored, ascending by
+        // id — exactly the servers a full scan with the strict `<`
+        // could pick, in the order it would score them. The unpruned
+        // oracles walk every server.
+        let mut index = (!self.unpruned).then(|| CandidateIndex::new(problem.servers()));
         let ordered_vms = problem.vms_by_start_time();
         drop(prepare_span);
 
-        for (step, j) in ordered_vms.into_iter().enumerate() {
+        for j in ordered_vms {
             // Decisions run back to back: each span starts where the
             // previous one (or the setup above) ended, so the hot loop
             // pays one clock read per decision instead of two.
             let _decision_span = tracer.lap_span("miec.decision");
             let vm = &problem.vms()[j];
             let scoring = self.scoring_vm(vm);
-            let mut best: Option<(f64, ServerId)> = None;
-            let mut candidates = 0u64;
-            let mut pruned = 0u64;
-            let mut unfit = 0u64;
-            let mut vm_fp_ties = 0u64;
-            for i in 0..problem.server_count() {
-                let sid = ServerId(i as u32);
-                let real = assignment.ledger(sid);
-                if !self.unpruned && real.hosted_count() == 0 {
-                    let class = class_of[i];
-                    if class_scored[class] == step {
-                        // A lower-id asleep server of the same spec class
-                        // already stood in for this one.
-                        if S::ENABLED || T::ENABLED {
-                            pruned += 1;
-                        }
-                        continue;
-                    }
-                    class_scored[class] = step;
-                }
+            let score = |i: usize| {
+                let real = assignment.ledger(ServerId(i as u32));
                 if !real.fits(vm) {
-                    if S::ENABLED || T::ENABLED {
-                        unfit += 1;
-                    }
-                    continue;
+                    return None;
                 }
-                let delta = match &shadow {
+                Some(match &shadow {
                     Some(ledgers) if self.reference => {
                         ledgers[i].reference_incremental_cost(&scoring)
                     }
                     Some(ledgers) => ledgers[i].incremental_cost(&scoring),
                     None if self.reference => real.reference_incremental_cost(&scoring),
                     None => real.incremental_cost(&scoring),
-                };
-                if S::ENABLED || T::ENABLED {
-                    candidates += 1;
-                    // An exact score tie: the strict `<` below resolves
-                    // it to the lowest server id — the decisions the
-                    // equivalence benches certify as FP ties.
-                    if best.is_some_and(|(cost, _)| delta == cost) {
-                        vm_fp_ties += 1;
-                    }
-                }
-                // Strict `<` keeps the lowest server id on ties.
-                if best.is_none_or(|(cost, _)| delta < cost) {
-                    best = Some((delta, sid));
-                }
-            }
+                })
+            };
+            let pick = match &index {
+                Some(index) => index.argmin(score),
+                None => Argmin::over(0..problem.server_count() as u32, 0, score),
+            };
             if S::ENABLED {
-                candidates_total += candidates;
-                pruned_total += pruned;
-                unfit_total += unfit;
-                fp_ties_total += vm_fp_ties;
+                candidates_total += pick.candidates;
+                pruned_total += pick.pruned;
+                unfit_total += pick.unfit;
+                fp_ties_total += pick.fp_ties;
             }
-            match best {
+            match pick.best {
                 Some((delta, sid)) => {
                     assignment.place(vm.id(), sid)?;
+                    if let Some(index) = index.as_mut() {
+                        index.hosted(sid);
+                    }
                     if let Some(ledgers) = shadow.as_mut() {
                         ledgers[sid.index()].host(vm);
                     }
@@ -300,20 +240,20 @@ impl Miec {
                                 ("vm", FieldValue::U64(vm.id().index() as u64)),
                                 ("server", FieldValue::U64(sid.index() as u64)),
                                 ("delta", FieldValue::F64(delta)),
-                                ("candidates", FieldValue::U64(candidates)),
-                                ("pruned", FieldValue::U64(pruned)),
+                                ("candidates", FieldValue::U64(pick.candidates)),
+                                ("pruned", FieldValue::U64(pick.pruned)),
                             ],
                         });
                     }
                     if T::ENABLED {
                         tracer.explain(&ExplainRecord {
-                            candidates,
-                            pruned,
-                            unfit,
+                            candidates: pick.candidates,
+                            pruned: pick.pruned,
+                            unfit: pick.unfit,
                             shards: 1,
                             winner: Some(sid.index() as u64),
                             delta_cost: delta,
-                            fp_tie: vm_fp_ties > 0,
+                            fp_tie: pick.fp_ties > 0,
                             ..ExplainRecord::new(
                                 DecisionKind::Place,
                                 vm.id().index() as u64,
@@ -330,9 +270,9 @@ impl Miec {
                     }
                     if T::ENABLED {
                         tracer.explain(&ExplainRecord {
-                            candidates,
-                            pruned,
-                            unfit,
+                            candidates: pick.candidates,
+                            pruned: pick.pruned,
+                            unfit: pick.unfit,
                             shards: 1,
                             ..ExplainRecord::new(
                                 DecisionKind::Reject,
@@ -357,450 +297,6 @@ impl Miec {
         Ok((assignment, rejected))
     }
 
-    /// The parallel twin of [`Miec::run`]: **persistent shard
-    /// ownership** over the live assignment — no ledger replication, no
-    /// replay.
-    ///
-    /// The server-id range is partitioned into contiguous ascending
-    /// shards ([`esvm_par::ShardRouting`]); the `Assignment` itself
-    /// lives inside an `RwLock`, workers score their shards *read-only*
-    /// against it, and the conductor commits the single winning `host`
-    /// mutation between pool generations (the pool's quiescence
-    /// guarantee makes that race-free). Arrivals are batched
-    /// `par.batch()` per wake-up: every worker scores the whole batch
-    /// against the pre-batch state, then the conductor commits the
-    /// batch sequentially in arrival order, re-scoring any shard
-    /// already dirtied by an earlier commit of the same batch — so
-    /// every VM is merged against exactly the state the sequential
-    /// loop would see.
-    ///
-    /// Determinism contract (see DESIGN.md "Concurrency model"): each
-    /// shard folds its own strict-`<` minimum over ascending server
-    /// ids, and the conductor merges shard minima in ascending shard
-    /// order with strict `<` — since shards partition the id range in
-    /// order, this reproduces the sequential left-to-right argmin bit
-    /// for bit, including Eq. 7 lowest-id tie-breaking. Spec-class
-    /// pruning runs shard-locally: a shard's extra asleep class
-    /// representative is bit-identical in score to (and higher-id
-    /// than) the global lowest-id representative, so it can never
-    /// displace the sequential winner.
-    ///
-    /// Counter semantics: `vms_placed/rejected`, `candidates_considered`,
-    /// `spec_class_pruned`, and `unfit_skipped` are identical to the
-    /// sequential run — the conductor demotes cross-shard duplicate
-    /// class representatives from scored/unfit back to pruned while
-    /// merging. `fp_ties` counts ties against shard-local minima
-    /// rather than the sequential running best, so it remains the one
-    /// documented approximate diagnostic.
-    fn run_parallel<'p, S: EventSink, T: Tracer>(
-        &self,
-        problem: &'p AllocationProblem,
-        admit: bool,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-        tracer: &T,
-    ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
-        let _run_span = tracer.span("miec.run");
-        /// Shared state: the live assignment (workers read, the
-        /// conductor mutates between generations) plus the ablation
-        /// shadow ledgers and the current arrival batch.
-        struct State<'p> {
-            assignment: Assignment<'p>,
-            /// α = 0 twin ledgers for the ablation variant's scoring;
-            /// hosted in lockstep with the assignment.
-            shadow: Option<Vec<ServerLedger>>,
-            /// `(true vm, scoring vm)` per batched arrival.
-            batch: Vec<(esvm_simcore::Vm, esvm_simcore::Vm)>,
-        }
-        /// One shard × VM scan outcome, merged in ascending shard order.
-        #[derive(Default)]
-        struct ShardScan {
-            /// Shard-local strict-`<` minimum `(delta, server id)`.
-            best: Option<(f64, u32)>,
-            /// Candidates in this shard tying the shard-local best.
-            ties_at_best: u64,
-            scored: u64,
-            unfit: u64,
-            pruned: u64,
-            /// Shard-local asleep class representatives `(class, fits)`
-            /// in ascending server-id order (instrumented runs only);
-            /// the conductor demotes cross-shard duplicates to pruned.
-            reps: Vec<(u32, bool)>,
-        }
-        impl ShardScan {
-            fn reset(&mut self) {
-                self.best = None;
-                self.ties_at_best = 0;
-                self.scored = 0;
-                self.unfit = 0;
-                self.pruned = 0;
-                self.reps.clear();
-            }
-        }
-        /// A worker's persistent per-shard storage. Each shard index
-        /// lands in exactly one dispatch chunk, so the mutex is never
-        /// contended — it exists to satisfy the `Sync` bound.
-        struct ShardSlot {
-            /// One scan per VM of the current batch.
-            results: Vec<ShardScan>,
-            /// Shard-local spec-class prune stamps
-            /// (`stamps[class] == scan` ⇒ already represented).
-            stamps: Vec<usize>,
-            /// Monotone scan counter for the stamps.
-            scan: usize,
-            /// Scratch for conductor-side re-scores of dirty shards.
-            rescan: ShardScan,
-        }
-
-        let n_servers = problem.server_count();
-        let routing = esvm_par::ShardRouting::new(n_servers, self.par.shards_for(n_servers));
-        let n_shards = routing.n_shards();
-        let batch_size = self.par.batch();
-        let classes = crate::classes::spec_classes(problem.servers());
-        let class_of = &classes.class_of;
-        let ordered_vms = problem.vms_by_start_time();
-        let reference = self.reference;
-        let unpruned = self.unpruned;
-        let instrumented = S::ENABLED || T::ENABLED;
-
-        let state = RwLock::new(State {
-            assignment: Assignment::new(problem),
-            shadow: self.ignore_transition_costs.then(|| {
-                problem
-                    .servers()
-                    .iter()
-                    .map(|s| {
-                        ServerLedger::new(esvm_simcore::ServerSpec::new(
-                            s.id(),
-                            s.capacity(),
-                            *s.power(),
-                            0.0,
-                        ))
-                    })
-                    .collect()
-            }),
-            batch: Vec::with_capacity(batch_size),
-        });
-        let slots: Vec<Mutex<ShardSlot>> = (0..n_shards)
-            .map(|_| {
-                Mutex::new(ShardSlot {
-                    results: Vec::new(),
-                    stamps: vec![usize::MAX; classes.count],
-                    scan: 0,
-                    rescan: ShardScan::default(),
-                })
-            })
-            .collect();
-
-        // The one scan kernel, shared by the worker threads and the
-        // conductor's dirty-shard re-scores: sweep a shard's id range
-        // in ascending order with shard-local prune stamps, exactly
-        // the sequential loop body restricted to the shard.
-        let scan_shard = |state: &State,
-                          range: std::ops::Range<usize>,
-                          vm: &esvm_simcore::Vm,
-                          scoring: &esvm_simcore::Vm,
-                          stamps: &mut [usize],
-                          scan_id: usize,
-                          out: &mut ShardScan| {
-            out.reset();
-            for i in range {
-                let real = state.assignment.ledger(ServerId(i as u32));
-                let mut is_rep = false;
-                if !unpruned && real.hosted_count() == 0 {
-                    let class = class_of[i];
-                    if stamps[class] == scan_id {
-                        // A lower-id asleep server of the same spec
-                        // class already stood in for this one (within
-                        // this shard; cross-shard dedup happens at
-                        // merge time).
-                        out.pruned += 1;
-                        continue;
-                    }
-                    stamps[class] = scan_id;
-                    is_rep = true;
-                }
-                let fits = real.fits(vm);
-                if instrumented && is_rep {
-                    out.reps.push((class_of[i] as u32, fits));
-                }
-                if !fits {
-                    out.unfit += 1;
-                    continue;
-                }
-                let delta = match (&state.shadow, reference) {
-                    (Some(ledgers), true) => ledgers[i].reference_incremental_cost(scoring),
-                    (Some(ledgers), false) => ledgers[i].incremental_cost(scoring),
-                    (None, true) => real.reference_incremental_cost(scoring),
-                    (None, false) => real.incremental_cost(scoring),
-                };
-                if instrumented {
-                    out.scored += 1;
-                    match out.best {
-                        Some((cost, _)) if delta == cost => out.ties_at_best += 1,
-                        Some((cost, _)) if delta < cost => out.ties_at_best = 0,
-                        _ => {}
-                    }
-                }
-                // Strict `<`: within a shard the lowest server id wins
-                // ties, exactly like the sequential left-to-right scan.
-                if out.best.is_none_or(|(cost, _)| delta < cost) {
-                    out.best = Some((delta, i as u32));
-                }
-            }
-        };
-
-        // Worker body: claim chunks of *shard indices* and score every
-        // batched VM against the owned shards, read-only.
-        let worker = |_chunk: usize, shard_range: std::ops::Range<usize>| {
-            let state = state.read().expect("miec state lock poisoned");
-            for s in shard_range {
-                let mut slot = slots[s].lock().expect("miec shard slot poisoned");
-                let slot = &mut *slot;
-                if slot.results.len() < state.batch.len() {
-                    slot.results.resize_with(state.batch.len(), ShardScan::default);
-                }
-                for (b, (vm, scoring)) in state.batch.iter().enumerate() {
-                    slot.scan += 1;
-                    scan_shard(
-                        &state,
-                        routing.range(s),
-                        vm,
-                        scoring,
-                        &mut slot.stamps,
-                        slot.scan,
-                        &mut slot.results[b],
-                    );
-                }
-            }
-        };
-
-        let run = esvm_par::scope(self.par, worker, |pool| -> AllocResult<_> {
-            let mut rejected = Vec::new();
-            let mut candidates_total = 0u64;
-            let mut pruned_total = 0u64;
-            let mut unfit_total = 0u64;
-            let mut fp_ties_total = 0u64;
-            // Shards that received a commit in the current batch
-            // window; their stored scans are stale and re-scored.
-            let mut dirty = vec![false; n_shards];
-            // Cross-shard class-representative dedup stamps, one fresh
-            // stamp per committed VM.
-            let mut rep_seen: Vec<usize> = vec![usize::MAX; classes.count];
-            let mut rep_stamp = 0usize;
-
-            let mut window_start = 0;
-            while window_start < ordered_vms.len() {
-                let _batch_span = tracer.span("miec.batch");
-                let window =
-                    &ordered_vms[window_start..(window_start + batch_size).min(ordered_vms.len())];
-                {
-                    // The scan span separates the parallel shard scan
-                    // from the sequential commits below, and anchors
-                    // the first commit's `lap_span` after dispatch.
-                    let _scan_span = tracer.span("miec.scan");
-                    {
-                        // Safe to mutate: every worker quiesced in the
-                        // previous `dispatch`, so no reader holds the lock.
-                        let mut state = state.write().expect("miec state lock poisoned");
-                        state.batch.clear();
-                        for &j in window {
-                            let vm = problem.vms()[j];
-                            state.batch.push((vm, self.scoring_vm(&vm)));
-                        }
-                    }
-                    dirty.iter_mut().for_each(|d| *d = false);
-                    pool.dispatch(n_shards);
-                }
-
-                // Commit the batch sequentially in arrival order.
-                for (b, &j) in window.iter().enumerate() {
-                    // Commits run back to back inside the batch span;
-                    // see the sequential loop for the lap rationale.
-                    let _decision_span = tracer.lap_span("miec.decision");
-                    let vm = &problem.vms()[j];
-                    let scoring = self.scoring_vm(vm);
-                    let mut best: Option<(f64, u32)> = None;
-                    let mut vm_candidates = 0u64;
-                    let mut vm_pruned = 0u64;
-                    let mut vm_unfit = 0u64;
-                    let mut vm_fp_ties = 0u64;
-                    let mut vm_rescored = 0u64;
-                    rep_stamp += 1;
-                    for s in 0..n_shards {
-                        let mut slot = slots[s].lock().expect("miec shard slot poisoned");
-                        let slot = &mut *slot;
-                        if dirty[s] {
-                            if S::ENABLED || T::ENABLED {
-                                vm_rescored += 1;
-                            }
-                            // An earlier commit of this batch touched
-                            // this shard: its stored scan no longer
-                            // matches the state the sequential loop
-                            // would see here — re-score against the
-                            // live assignment.
-                            slot.scan += 1;
-                            let state = state.read().expect("miec state lock poisoned");
-                            scan_shard(
-                                &state,
-                                routing.range(s),
-                                vm,
-                                &scoring,
-                                &mut slot.stamps,
-                                slot.scan,
-                                &mut slot.rescan,
-                            );
-                        }
-                        let out: &ShardScan =
-                            if dirty[s] { &slot.rescan } else { &slot.results[b] };
-                        if S::ENABLED || T::ENABLED {
-                            // Demote cross-shard duplicate asleep class
-                            // representatives to pruned: sequentially
-                            // only the global lowest-id representative
-                            // (= the first shard's, since shards
-                            // ascend) is scored or found unfit.
-                            let mut scored_dupes = 0u64;
-                            let mut unfit_dupes = 0u64;
-                            for &(class, fits) in &out.reps {
-                                if rep_seen[class as usize] == rep_stamp {
-                                    if fits {
-                                        scored_dupes += 1;
-                                    } else {
-                                        unfit_dupes += 1;
-                                    }
-                                } else {
-                                    rep_seen[class as usize] = rep_stamp;
-                                }
-                            }
-                            vm_candidates += out.scored - scored_dupes;
-                            vm_unfit += out.unfit - unfit_dupes;
-                            vm_pruned += out.pruned + scored_dupes + unfit_dupes;
-                            if let (Some((delta, _)), Some((cost, _))) = (out.best, best) {
-                                if delta == cost {
-                                    // The shard best itself ties the
-                                    // running best, plus its in-shard
-                                    // ties.
-                                    vm_fp_ties += out.ties_at_best + 1;
-                                } else if delta < cost {
-                                    vm_fp_ties += out.ties_at_best;
-                                }
-                            } else if let (Some(_), None) = (out.best, best) {
-                                vm_fp_ties += out.ties_at_best;
-                            }
-                        }
-                        // Ascending-shard merge with strict `<`: the
-                        // sequential left-to-right argmin, Eq. 7
-                        // lowest-id tie-break included. A duplicate
-                        // class representative scores bit-identically
-                        // to the earlier shard's copy, so strict `<`
-                        // never lets it displace the winner.
-                        if let Some((delta, sid)) = out.best {
-                            if best.is_none_or(|(cost, _)| delta < cost) {
-                                best = Some((delta, sid));
-                            }
-                        }
-                    }
-                    if S::ENABLED {
-                        candidates_total += vm_candidates;
-                        pruned_total += vm_pruned;
-                        unfit_total += vm_unfit;
-                        fp_ties_total += vm_fp_ties;
-                    }
-                    match best {
-                        Some((delta, sid)) => {
-                            // The single `host` mutation, dispatched to
-                            // the winning shard's ledger between pool
-                            // generations.
-                            let mut state = state.write().expect("miec state lock poisoned");
-                            let state = &mut *state;
-                            state.assignment.place(vm.id(), ServerId(sid))?;
-                            if let Some(ledgers) = state.shadow.as_mut() {
-                                ledgers[sid as usize].host(vm);
-                            }
-                            dirty[routing.shard_of(sid as usize)] = true;
-                            if S::ENABLED {
-                                metrics.observe("miec.placement_delta", delta);
-                                sink.emit(&Event {
-                                    name: "miec.place",
-                                    fields: &[
-                                        ("vm", FieldValue::U64(vm.id().index() as u64)),
-                                        ("server", FieldValue::U64(u64::from(sid))),
-                                        ("delta", FieldValue::F64(delta)),
-                                        ("candidates", FieldValue::U64(vm_candidates)),
-                                        ("pruned", FieldValue::U64(vm_pruned)),
-                                    ],
-                                });
-                            }
-                            if T::ENABLED {
-                                tracer.explain(&ExplainRecord {
-                                    candidates: vm_candidates,
-                                    pruned: vm_pruned,
-                                    unfit: vm_unfit,
-                                    shards: n_shards as u64,
-                                    rescored: vm_rescored,
-                                    shard: routing.shard_of(sid as usize) as u64,
-                                    winner: Some(u64::from(sid)),
-                                    delta_cost: delta,
-                                    fp_tie: vm_fp_ties > 0,
-                                    ..ExplainRecord::new(
-                                        DecisionKind::Place,
-                                        vm.id().index() as u64,
-                                    )
-                                });
-                            }
-                        }
-                        None if admit => {
-                            if S::ENABLED {
-                                sink.emit(&Event {
-                                    name: "miec.reject",
-                                    fields: &[("vm", FieldValue::U64(vm.id().index() as u64))],
-                                });
-                            }
-                            if T::ENABLED {
-                                tracer.explain(&ExplainRecord {
-                                    candidates: vm_candidates,
-                                    pruned: vm_pruned,
-                                    unfit: vm_unfit,
-                                    shards: n_shards as u64,
-                                    rescored: vm_rescored,
-                                    ..ExplainRecord::new(
-                                        DecisionKind::Reject,
-                                        vm.id().index() as u64,
-                                    )
-                                });
-                            }
-                            rejected.push(vm.id());
-                        }
-                        None => return Err(AllocError::NoFeasibleServer(vm.id())),
-                    }
-                }
-                window_start += window.len();
-            }
-            if S::ENABLED {
-                let placed = problem.vm_count() as u64 - rejected.len() as u64;
-                metrics.add("miec.vms_placed", placed);
-                metrics.add("miec.vms_rejected", rejected.len() as u64);
-                metrics.add("miec.candidates_considered", candidates_total);
-                metrics.add("miec.spec_class_pruned", pruned_total);
-                metrics.add("miec.unfit_skipped", unfit_total);
-                metrics.add("miec.fp_ties", fp_ties_total);
-                let stats = pool.stats();
-                metrics.add("miec.par.generations", stats.generations);
-                metrics.add("miec.par.chunks", stats.chunks);
-                metrics.add("miec.par.steals", stats.steals);
-                metrics.set_gauge("miec.par.imbalance", stats.imbalance);
-            }
-            Ok(rejected)
-        });
-        let rejected = run?;
-
-        // The assignment was mutated in place in arrival order — the
-        // exact sequence of `place` calls the sequential loop performs,
-        // so its float state is bit-identical. Just unwrap it.
-        let state = state.into_inner().expect("miec state lock poisoned");
-        Ok((state.assignment, rejected))
-    }
-
     /// Observed variant of [`Allocator::allocate`]: identical placement
     /// decisions, with a `miec.place` event per VM emitted to `sink` and
     /// the scan tallies (candidates considered, spec-class pruned, exact
@@ -820,9 +316,9 @@ impl Miec {
 
     /// [`Miec::allocate_observed`] with decision provenance: a
     /// `miec.run` span wraps the placement loop, every per-VM argmin
-    /// runs inside a `miec.decision` span (the sharded engine adds a
-    /// `miec.batch` level), and one [`ExplainRecord`] per VM lands in
-    /// `tracer` whose `(winner, delta_cost)` bit-match the placement.
+    /// runs inside a `miec.decision` span, and one [`ExplainRecord`]
+    /// per VM lands in `tracer` whose `(winner, delta_cost)` bit-match
+    /// the placement.
     /// With [`NoopTracer`] this *is* `allocate_observed`.
     ///
     /// # Errors
@@ -1114,13 +610,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_bit_identical_to_sequential() {
-        use esvm_par::Parallelism;
+    fn indexed_scan_is_bit_identical_to_the_full_scan() {
         let mut b = ProblemBuilder::new();
         for i in 0..6 {
             b = b.server(
                 Resources::new(8.0, 16.0),
-                PowerModel::new(100.0 + f64::from(i), 200.0),
+                PowerModel::new(100.0 + f64::from(i % 2), 200.0),
                 50.0,
             );
         }
@@ -1134,38 +629,24 @@ mod tests {
             .unwrap();
         for make in [
             Miec::new,
-            Miec::reference,
             Miec::ignoring_transition_costs,
             || Miec::with_assumed_duration(3),
-            || Miec::new().without_pruning(),
-        ] as [fn() -> Miec; 5]
+        ] as [fn() -> Miec; 3]
         {
-            let sequential = make().allocate(&p, &mut rng()).unwrap();
-            for threads in [2usize, 4, 8] {
-                for shards in [0usize, 1, 3, 8] {
-                    for batch in [1usize, 2, 256] {
-                        let parallel = make()
-                            .with_parallelism(
-                                Parallelism::new(threads).with_shards(shards).with_batch(batch),
-                            )
-                            .allocate(&p, &mut rng())
-                            .unwrap();
-                        assert_eq!(sequential.placement(), parallel.placement());
-                        assert_eq!(
-                            sequential.total_cost().to_bits(),
-                            parallel.total_cost().to_bits(),
-                            "{} threads={threads} shards={shards} batch={batch}",
-                            make().name()
-                        );
-                    }
-                }
-            }
+            let indexed = make().allocate(&p, &mut rng()).unwrap();
+            let full = make().without_pruning().allocate(&p, &mut rng()).unwrap();
+            assert_eq!(indexed.placement(), full.placement(), "{}", make().name());
+            assert_eq!(
+                indexed.total_cost().to_bits(),
+                full.total_cost().to_bits(),
+                "{}",
+                make().name()
+            );
         }
     }
 
     #[test]
-    fn parallel_observed_counters_match_sequential() {
-        use esvm_par::Parallelism;
+    fn observed_counters_account_for_every_server() {
         let mut b = ProblemBuilder::new();
         for _ in 0..4 {
             b = b.server(Resources::new(8.0, 16.0), PowerModel::new(100.0, 200.0), 50.0);
@@ -1176,45 +657,23 @@ mod tests {
             .vm(Resources::new(2.0, 4.0), Interval::new(20, 25))
             .build()
             .unwrap();
-        let seq_metrics = esvm_obs::MetricsRegistry::new();
-        let a = Miec::new()
-            .allocate_observed(&p, &mut esvm_obs::MemorySink::new(), &seq_metrics)
+        let metrics = esvm_obs::MetricsRegistry::new();
+        Miec::new()
+            .allocate_observed(&p, &mut esvm_obs::MemorySink::new(), &metrics)
             .unwrap();
-        // The exact counters must survive every shard/batch shape —
-        // including batches where cross-shard rep dedup and dirty-shard
-        // re-scores actually fire.
-        for (shards, batch) in [(0usize, 16usize), (2, 1), (3, 2), (8, 256)] {
-            let par_metrics = esvm_obs::MetricsRegistry::new();
-            let b = Miec::new()
-                .with_parallelism(Parallelism::new(4).with_shards(shards).with_batch(batch))
-                .allocate_observed(&p, &mut esvm_obs::MemorySink::new(), &par_metrics)
-                .unwrap();
-            assert_eq!(a.placement(), b.placement());
-            for name in [
-                "miec.vms_placed",
-                "miec.vms_rejected",
-                "miec.candidates_considered",
-                "miec.spec_class_pruned",
-                "miec.unfit_skipped",
-            ] {
-                assert_eq!(
-                    seq_metrics.counter(name),
-                    par_metrics.counter(name),
-                    "{name} shards={shards} batch={batch}"
-                );
-            }
-            // Pool counters only exist on the parallel run: one
-            // generation per arrival batch.
-            let expected_generations = (3 + batch as u64 - 1) / batch as u64;
-            assert_eq!(par_metrics.counter("miec.par.generations"), expected_generations);
-            assert_eq!(seq_metrics.counter("miec.par.generations"), 0);
-        }
+        // VM 0 scores the one class representative (3 twins pruned);
+        // VMs 1 and 2 score awake server 0 and representative 1.
+        assert_eq!(metrics.counter("miec.candidates_considered"), 5);
+        assert_eq!(metrics.counter("miec.spec_class_pruned"), 7);
+        assert_eq!(metrics.counter("miec.unfit_skipped"), 0);
+        // Scored, unfit and pruned servers cover the fleet once per VM,
+        // as a walk over every server would.
+        assert_eq!(5 + 7, p.vm_count() * p.server_count());
     }
 
     #[test]
     fn traced_run_matches_plain_and_explains_every_placement() {
         use esvm_obs::{CollectingTracer, DecisionKind, NoopSink};
-        use esvm_par::Parallelism;
         let mut b = ProblemBuilder::new();
         for i in 0..6 {
             b = b.server(
@@ -1232,68 +691,57 @@ mod tests {
             .build()
             .unwrap();
         let plain = Miec::new().allocate(&p, &mut rng()).unwrap();
-        for par in [Parallelism::new(1), Parallelism::new(4).with_shards(3).with_batch(2)] {
-            let tracer = CollectingTracer::new();
-            let metrics = esvm_obs::MetricsRegistry::new();
-            let traced = Miec::new()
-                .with_parallelism(par)
-                .allocate_traced(&p, &mut NoopSink, &metrics, &tracer)
-                .unwrap();
-            assert_eq!(plain.placement(), traced.placement());
-            assert_eq!(plain.total_cost().to_bits(), traced.total_cost().to_bits());
-            // One explain record per VM, whose (winner, delta) bit-match
-            // the placement and the recorded placement deltas.
-            let explains = tracer.explains();
-            assert_eq!(explains.len(), p.vm_count());
-            for e in &explains {
-                assert_eq!(e.record.kind, DecisionKind::Place);
-                assert_eq!(
-                    e.record.winner.map(|w| ServerId(w as u32)),
-                    traced.server_of(VmId(e.record.vm as u32))
-                );
-                assert!(e.record.candidates >= 1);
-                assert!(!e.span.is_none());
-            }
-            // Spans: one run span, one decision span per VM (the
-            // sharded engine adds batch spans in between).
-            let spans = tracer.spans();
-            assert_eq!(spans.iter().filter(|s| s.name == "miec.run").count(), 1);
+        let tracer = CollectingTracer::new();
+        let metrics = esvm_obs::MetricsRegistry::new();
+        let traced = Miec::new()
+            .allocate_traced(&p, &mut NoopSink, &metrics, &tracer)
+            .unwrap();
+        assert_eq!(plain.placement(), traced.placement());
+        assert_eq!(plain.total_cost().to_bits(), traced.total_cost().to_bits());
+        // One explain record per VM, whose (winner, delta) bit-match
+        // the placement and the recorded placement deltas.
+        let explains = tracer.explains();
+        assert_eq!(explains.len(), p.vm_count());
+        for e in &explains {
+            assert_eq!(e.record.kind, DecisionKind::Place);
             assert_eq!(
-                spans.iter().filter(|s| s.name == "miec.decision").count(),
-                p.vm_count()
+                e.record.winner.map(|w| ServerId(w as u32)),
+                traced.server_of(VmId(e.record.vm as u32))
             );
-            assert_eq!(tracer.open_spans(), 0);
-            // Per-decision latency is tracked with quantiles.
-            let lat = tracer.latency("miec.decision").unwrap();
-            assert_eq!(lat.count, p.vm_count() as u64);
-            assert!(lat.p99 <= lat.max);
+            assert!(e.record.candidates >= 1);
+            assert_eq!(
+                e.record.candidates + e.record.unfit + e.record.pruned,
+                p.server_count() as u64
+            );
+            assert!(!e.span.is_none());
         }
-        // Sequential and sharded explain records agree on the scan
-        // tallies (candidates/pruned/unfit), not just the winner.
-        let seq = CollectingTracer::new();
-        let par = CollectingTracer::new();
-        let m = esvm_obs::MetricsRegistry::new();
-        Miec::new().allocate_traced(&p, &mut NoopSink, &m, &seq).unwrap();
+        // Spans: one run span, one decision span per VM.
+        let spans = tracer.spans();
+        assert_eq!(spans.iter().filter(|s| s.name == "miec.run").count(), 1);
+        assert_eq!(
+            spans.iter().filter(|s| s.name == "miec.decision").count(),
+            p.vm_count()
+        );
+        assert_eq!(tracer.open_spans(), 0);
+        // Per-decision latency is tracked with quantiles.
+        let lat = tracer.latency("miec.decision").unwrap();
+        assert_eq!(lat.count, p.vm_count() as u64);
+        assert!(lat.p99 <= lat.max);
+        // The full-scan oracle names the same winners with the same
+        // delta bits; it prunes nothing.
+        let full = CollectingTracer::new();
         Miec::new()
-            .with_parallelism(Parallelism::new(2).with_shards(4).with_batch(256))
-            .allocate_traced(&p, &mut NoopSink, &m, &par)
+            .without_pruning()
+            .allocate_traced(&p, &mut NoopSink, &metrics, &full)
             .unwrap();
         let key = |t: &CollectingTracer| {
             t.explains()
                 .iter()
-                .map(|e| {
-                    (
-                        e.record.vm,
-                        e.record.candidates,
-                        e.record.pruned,
-                        e.record.unfit,
-                        e.record.winner,
-                        e.record.delta_cost.to_bits(),
-                    )
-                })
+                .map(|e| (e.record.vm, e.record.winner, e.record.delta_cost.to_bits()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(key(&seq), key(&par));
+        assert_eq!(key(&tracer), key(&full));
+        assert!(full.explains().iter().all(|e| e.record.pruned == 0));
     }
 
     #[test]

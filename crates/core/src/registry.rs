@@ -101,23 +101,20 @@ impl AllocatorKind {
     }
 
     /// Constructs the allocator with a thread-count policy. Only the
-    /// MIEC family and the local-search wrappers have parallel scoring
-    /// paths; the simple baselines ignore `par`. Placements are
-    /// bit-identical to [`AllocatorKind::build`] for every thread count.
+    /// local-search wrappers have parallel scoring paths; MIEC scores
+    /// its candidate index sequentially and the simple baselines ignore
+    /// `par`. Placements are bit-identical to [`AllocatorKind::build`]
+    /// for every thread count.
     pub fn build_with(&self, par: Parallelism) -> Box<dyn Allocator> {
         match self {
-            AllocatorKind::Miec => Box::new(Miec::new().with_parallelism(par)),
-            AllocatorKind::MiecNoAlpha => {
-                Box::new(Miec::ignoring_transition_costs().with_parallelism(par))
-            }
+            AllocatorKind::Miec => Box::new(Miec::new()),
+            AllocatorKind::MiecNoAlpha => Box::new(Miec::ignoring_transition_costs()),
             AllocatorKind::MiecLocalSearch => Box::new(Refined::new(
-                Miec::new().with_parallelism(par),
+                Miec::new(),
                 LocalSearch::new().with_parallelism(par),
                 "miec-ls",
             )),
-            AllocatorKind::MiecBlindDuration => {
-                Box::new(Miec::with_assumed_duration(5).with_parallelism(par))
-            }
+            AllocatorKind::MiecBlindDuration => Box::new(Miec::with_assumed_duration(5)),
             // The online event loop is inherently sequential (every
             // decision conditions the next), so `par` is a no-op and
             // thread-count bit-exactness is structural.
@@ -198,19 +195,15 @@ impl AllocatorKind {
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
         match self {
-            AllocatorKind::Miec => Miec::new()
-                .with_parallelism(par)
-                .allocate_traced(problem, sink, metrics, tracer),
-            AllocatorKind::MiecNoAlpha => Miec::ignoring_transition_costs()
-                .with_parallelism(par)
-                .allocate_traced(problem, sink, metrics, tracer),
-            AllocatorKind::MiecBlindDuration => Miec::with_assumed_duration(5)
-                .with_parallelism(par)
-                .allocate_traced(problem, sink, metrics, tracer),
+            AllocatorKind::Miec => Miec::new().allocate_traced(problem, sink, metrics, tracer),
+            AllocatorKind::MiecNoAlpha => {
+                Miec::ignoring_transition_costs().allocate_traced(problem, sink, metrics, tracer)
+            }
+            AllocatorKind::MiecBlindDuration => {
+                Miec::with_assumed_duration(5).allocate_traced(problem, sink, metrics, tracer)
+            }
             AllocatorKind::MiecLocalSearch => {
-                let base = Miec::new()
-                    .with_parallelism(par)
-                    .allocate_traced(problem, sink, metrics, tracer)?;
+                let base = Miec::new().allocate_traced(problem, sink, metrics, tracer)?;
                 LocalSearch::new()
                     .with_parallelism(par)
                     .refine_instrumented(&base, sink, metrics, tracer)

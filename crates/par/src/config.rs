@@ -5,33 +5,23 @@
 /// imbalance; the constant is small so tiny inputs stay in one chunk.
 pub(crate) const CHUNKS_PER_THREAD: usize = 4;
 
-/// Default arrival-batch size for the sharded allocation paths: enough
-/// VMs per pool wake-up to amortize the dispatch round-trip, small
-/// enough that conflicted-shard re-scores stay rare.
-pub const DEFAULT_BATCH: usize = 16;
-
 /// Default problem-size cutoff of [`Parallelism::auto`]: below this
-/// many VMs the sharded scorer's dispatch overhead outweighs its
-/// speedup, so auto mode runs the sequential engine. Calibrated from
-/// the committed `BENCH_miec.json` points: the sharded path measured
-/// 0.6–0.8× at 20k–100k VMs but 4× at 1M, so the crossover sits
-/// between 100k and 1M.
+/// many items the sharded paths' dispatch overhead outweighs their
+/// speedup, so auto mode runs the sequential engine.
 pub const DEFAULT_AUTO_CUTOFF: usize = 200_000;
 
-/// Thread/shard/batch configuration for a parallel entry point.
+/// Thread/shard configuration for a parallel entry point.
 ///
 /// The default — [`Parallelism::sequential`], one thread — makes every
 /// parallel code path *be* the sequential one (no pool, no locks, plain
 /// in-order loops). Results are identical for every thread count by
 /// construction; only wall-clock changes.
 ///
-/// Beyond the thread count, the sharded allocation paths read two more
-/// knobs: the number of persistent server-state *shards*
+/// Beyond the thread count, the sharded paths read one more knob: the
+/// number of persistent server-state *shards*
 /// ([`Parallelism::with_shards`], `0` = auto-size from the thread
-/// count) and the arrival *batch* size ([`Parallelism::with_batch`],
-/// how many VMs are scored per pool wake-up before the conductor
-/// commits them in arrival order). Both are execution details: every
-/// (threads, shards, batch) triple produces bit-identical placements.
+/// count). It is an execution detail: every (threads, shards) pair
+/// produces bit-identical results.
 ///
 /// # Example
 ///
@@ -40,17 +30,14 @@ pub const DEFAULT_AUTO_CUTOFF: usize = 200_000;
 /// assert_eq!(Parallelism::default(), Parallelism::sequential());
 /// assert_eq!(Parallelism::new(4).threads(), 4);
 /// assert_eq!(Parallelism::new(0).threads(), 1); // clamped
-/// let par = Parallelism::new(4).with_shards(8).with_batch(32);
+/// let par = Parallelism::new(4).with_shards(8);
 /// assert_eq!(par.shards_for(1000), 8);
-/// assert_eq!(par.batch(), 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     threads: usize,
     /// Shard-count override for the sharded paths; `0` = auto.
     shards: usize,
-    /// Arrival-batch size for the sharded paths (≥ 1).
-    batch: usize,
     /// Adaptive mode: fall back to the sequential engine below
     /// `auto_cutoff` items (see [`Parallelism::auto`]).
     adaptive: bool,
@@ -64,7 +51,6 @@ impl Parallelism {
         Self {
             threads: 1,
             shards: 0,
-            batch: DEFAULT_BATCH,
             adaptive: false,
             auto_cutoff: DEFAULT_AUTO_CUTOFF,
         }
@@ -80,12 +66,11 @@ impl Parallelism {
 
     /// Adaptive engine selection: all available cores, but entry points
     /// consult [`Parallelism::resolve_for`] and run the plain
-    /// sequential engine below [`DEFAULT_AUTO_CUTOFF`] items — where
-    /// the sharded scorer's dispatch overhead measured as a 0.6–0.8×
-    /// *slowdown* — and the sharded engine above it. An explicit shard
-    /// override ([`Parallelism::with_shards`] / `ESVM_SHARDS`) forces
-    /// the sharded engine at any size. Both engines are bit-identical,
-    /// so the switch is invisible in results.
+    /// sequential engine below [`DEFAULT_AUTO_CUTOFF`] items and the
+    /// sharded engine above it. An explicit shard override
+    /// ([`Parallelism::with_shards`] / `ESVM_SHARDS`) forces the
+    /// sharded engine at any size. Both engines are bit-identical, so
+    /// the switch is invisible in results.
     pub fn auto() -> Self {
         Self {
             threads: available_parallelism(),
@@ -130,8 +115,8 @@ impl Parallelism {
     }
 
     /// Overrides the thread count (clamped to at least 1), keeping the
-    /// shard and batch knobs — for front ends that let a flag override
-    /// `ESVM_THREADS` while `ESVM_SHARDS` / `ESVM_BATCH` still apply.
+    /// shard knob — for front ends that let a flag override
+    /// `ESVM_THREADS` while `ESVM_SHARDS` still applies.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -146,15 +131,6 @@ impl Parallelism {
         self
     }
 
-    /// Sets the arrival-batch size of the sharded allocation paths
-    /// (clamped to at least 1). Larger batches amortize the pool
-    /// round-trip; batching never changes results — conflicted shards
-    /// are re-scored at commit time.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
     /// Reads the `ESVM_THREADS` environment variable:
     ///
     /// * unset or unparsable → [`Parallelism::sequential`] (the safe
@@ -162,10 +138,9 @@ impl Parallelism {
     /// * `0` → all available cores;
     /// * `N ≥ 1` → exactly `N` threads.
     ///
-    /// `ESVM_SHARDS` (shard-count override, `0`/unset = auto) and
-    /// `ESVM_BATCH` (arrival-batch size, unset = [`DEFAULT_BATCH`])
-    /// refine the sharded paths the same way; unparsable values fall
-    /// back to the defaults.
+    /// `ESVM_SHARDS` (shard-count override, `0`/unset = auto) refines
+    /// the sharded paths the same way; an unparsable value falls back
+    /// to the default.
     /// `ESVM_THREADS=auto` selects [`Parallelism::auto`];
     /// `ESVM_AUTO_CUTOFF` overrides its problem-size threshold.
     pub fn from_env() -> Self {
@@ -174,7 +149,6 @@ impl Parallelism {
             Err(_) => Self::sequential(),
         };
         base.with_shards(env_usize("ESVM_SHARDS").unwrap_or(0))
-            .with_batch(env_usize("ESVM_BATCH").unwrap_or(DEFAULT_BATCH))
             .with_auto_cutoff(env_usize("ESVM_AUTO_CUTOFF").unwrap_or(DEFAULT_AUTO_CUTOFF))
     }
 
@@ -199,12 +173,8 @@ impl Parallelism {
             Err(_) => Self::sequential(),
         };
         let shards = try_env_usize("ESVM_SHARDS")?.unwrap_or(0);
-        let batch = try_env_usize("ESVM_BATCH")?.unwrap_or(DEFAULT_BATCH);
         let cutoff = try_env_usize("ESVM_AUTO_CUTOFF")?.unwrap_or(DEFAULT_AUTO_CUTOFF);
-        Ok(base
-            .with_shards(shards)
-            .with_batch(batch)
-            .with_auto_cutoff(cutoff))
+        Ok(base.with_shards(shards).with_auto_cutoff(cutoff))
     }
 
     /// The pure parsing rule behind [`Parallelism::try_from_env`].
@@ -253,11 +223,6 @@ impl Parallelism {
             self.shards
         };
         raw.clamp(1, n_items.max(1))
-    }
-
-    /// Arrival-batch size of the sharded paths (≥ 1).
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// The chunking `(chunk_size, n_chunks)` this configuration uses
@@ -382,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_batch_knobs() {
+    fn shard_knob() {
         let par = Parallelism::new(4);
         // Auto: CHUNKS_PER_THREAD shards per thread, capped at items.
         assert_eq!(par.shards_for(1000), 4 * CHUNKS_PER_THREAD);
@@ -394,17 +359,13 @@ mod tests {
         assert_eq!(par.shards_override(), 6);
         assert_eq!(par.shards_for(1000), 6);
         assert_eq!(par.shards_for(2), 2);
-        // Batch defaults and clamps.
-        assert_eq!(Parallelism::sequential().batch(), DEFAULT_BATCH);
-        assert_eq!(Parallelism::new(2).with_batch(0).batch(), 1);
-        assert_eq!(Parallelism::new(2).with_batch(256).batch(), 256);
     }
 
     #[test]
     fn auto_resolves_by_problem_size() {
         let auto = Parallelism::auto().with_auto_cutoff(1000);
         assert!(auto.is_adaptive());
-        // Below the cutoff: sequential engine, shard/batch knobs kept.
+        // Below the cutoff: sequential engine, shard knob kept.
         let small = auto.resolve_for(999);
         assert!(!small.is_adaptive());
         assert_eq!(small.threads(), 1);

@@ -40,7 +40,7 @@ mod ops;
 mod pool;
 mod shard;
 
-pub use config::{Parallelism, DEFAULT_BATCH};
+pub use config::Parallelism;
 pub use ops::{par_map, par_min_by};
 pub use pool::{scope, Conductor, PoolStats};
 pub use shard::ShardRouting;

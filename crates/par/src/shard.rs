@@ -1,9 +1,9 @@
 //! Contiguous shard routing for persistent-ownership parallel paths.
 //!
-//! The sharded allocation engines partition the server-id range
-//! `[0, n)` into `k` contiguous, ascending shards: each worker owns a
-//! shard of `ServerLedger`s for the whole run and only the owning
-//! shard's results ever touch those ledgers. Contiguity is what makes
+//! The sharded paths (local search's relocate sweep) partition the
+//! server-id range `[0, n)` into `k` contiguous, ascending shards: each
+//! worker owns a shard of `ServerLedger`s for the whole run and only
+//! the owning shard's results ever touch those ledgers. Contiguity is what makes
 //! the deterministic reduction trivial — merging per-shard argmins in
 //! ascending shard order *is* the sequential left-to-right fold,
 //! including the lowest-id tie-break (the paper's Eq. 7 rule).

@@ -154,13 +154,12 @@ fn faulted_replays_complete_and_conserve_energy_for_every_kind() {
     }
 }
 
-/// Sharded-path interaction: crash/repair replays where both phase 1
-/// (sharded MIEC allocation) and phase 2 (chunked repair argmin) run on
-/// worker threads must reproduce the fully-sequential replay bit for
-/// bit — placements, repair records, shed/refused sets and energy all
-/// identical. The workload uses 13 servers so the shard/chunk
-/// boundaries fall inside the fleet and crashes displace VMs across
-/// them.
+/// Parallel-repair interaction: crash/repair replays whose phase 2
+/// (chunked repair argmin) runs on worker threads must reproduce the
+/// fully-sequential replay bit for bit — placements, repair records,
+/// shed/refused sets and energy all identical. The workload uses 13
+/// servers so the chunk boundaries fall inside the fleet and crashes
+/// displace VMs across them.
 #[test]
 fn faulted_replay_with_parallel_repair_matches_sequential_bit_for_bit() {
     let config = WorkloadConfig::new(40, 13).mean_interarrival(1.5);
@@ -175,8 +174,8 @@ fn faulted_replay_with_parallel_repair_matches_sequential_bit_for_bit() {
                 &mut rng_for(AllocatorKind::Miec, seed),
             )
             .expect("offline phase is feasible");
-        for (threads, shards, batch) in [(2, 1, 1), (4, 3, 16), (8, 8, 256)] {
-            let par = Parallelism::new(threads).with_shards(shards).with_batch(batch);
+        for (threads, shards) in [(2, 1), (4, 3), (8, 8)] {
+            let par = Parallelism::new(threads).with_shards(shards);
             let parallel = ChaosEngine::new(plan.clone())
                 .with_parallelism(par)
                 .run(
@@ -185,7 +184,7 @@ fn faulted_replay_with_parallel_repair_matches_sequential_bit_for_bit() {
                     &mut rng_for(AllocatorKind::Miec, seed),
                 )
                 .expect("offline phase is feasible");
-            let ctx = format!("seed {seed} threads {threads} shards {shards} batch {batch}");
+            let ctx = format!("seed {seed} threads {threads} shards {shards}");
             assert_eq!(sequential.placement, parallel.placement, "{ctx}: placement");
             assert_eq!(sequential.repairs, parallel.repairs, "{ctx}: repair records");
             assert_eq!(sequential.shed, parallel.shed, "{ctx}: shed set");

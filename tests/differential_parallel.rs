@@ -74,50 +74,43 @@ fn every_kind_matches_the_sequential_oracle_bit_for_bit() {
     }
 }
 
-/// The ISSUE-mandated sharded-engine matrix: shards {1, 2, 4, 8} ×
-/// batch {1, 16, 256} × 25 seeds, for both allocators with a sharded
-/// parallel path. Every cell must reproduce the sequential oracle's
+/// The sharded-sweep matrix: shards {1, 2, 4, 8} × 25 seeds, for both
+/// allocators with a sharded parallel path (local search's relocate
+/// sweep). Every cell must reproduce the sequential oracle's
 /// placement, total cost and audited energy decomposition bit for bit
-/// — shard ownership and batch windows are execution details, never
-/// algorithmic ones.
+/// — shard ownership is an execution detail, never an algorithmic one.
 #[test]
-fn shard_and_batch_matrix_matches_the_oracle_bit_for_bit() {
+fn shard_matrix_matches_the_oracle_bit_for_bit() {
     const SHARDS: [usize; 4] = [1, 2, 4, 8];
-    const BATCHES: [usize; 3] = [1, 16, 256];
     let config = WorkloadConfig::new(14, 7).mean_interarrival(2.5);
     for seed in 0..25 {
         let problem = config.generate(seed).expect("generation is feasible");
-        for kind in [AllocatorKind::Miec, AllocatorKind::MiecLocalSearch] {
+        for kind in [AllocatorKind::MiecLocalSearch, AllocatorKind::FfpsLocalSearch] {
             let oracle = kind
                 .build_with(Parallelism::sequential())
                 .allocate(&problem, &mut rng_for(kind, seed))
                 .expect("oracle allocation succeeds");
             let sa = oracle.audit().expect("oracle audit");
             for shards in SHARDS {
-                for batch in BATCHES {
-                    let par = Parallelism::new(4).with_shards(shards).with_batch(batch);
-                    let parallel = kind
-                        .build_with(par)
-                        .allocate(&problem, &mut rng_for(kind, seed))
-                        .expect("parallel allocation succeeds");
-                    let ctx = format!(
-                        "{} seed {seed} shards {shards} batch {batch}",
-                        kind.name()
-                    );
-                    assert_eq!(oracle.placement(), parallel.placement(), "{ctx}: placement");
-                    assert_eq!(
-                        oracle.total_cost().to_bits(),
-                        parallel.total_cost().to_bits(),
-                        "{ctx}: total cost"
-                    );
-                    let pa = parallel.audit().expect("parallel audit");
-                    for (name, s, p) in [
-                        ("run", sa.breakdown.run, pa.breakdown.run),
-                        ("idle", sa.breakdown.idle, pa.breakdown.idle),
-                        ("transition", sa.breakdown.transition, pa.breakdown.transition),
-                    ] {
-                        assert_eq!(s.to_bits(), p.to_bits(), "{ctx}: energy.{name}");
-                    }
+                let par = Parallelism::new(4).with_shards(shards);
+                let parallel = kind
+                    .build_with(par)
+                    .allocate(&problem, &mut rng_for(kind, seed))
+                    .expect("parallel allocation succeeds");
+                let ctx = format!("{} seed {seed} shards {shards}", kind.name());
+                assert_eq!(oracle.placement(), parallel.placement(), "{ctx}: placement");
+                assert_eq!(
+                    oracle.total_cost().to_bits(),
+                    parallel.total_cost().to_bits(),
+                    "{ctx}: total cost"
+                );
+                let pa = parallel.audit().expect("parallel audit");
+                for (name, s, p) in [
+                    ("run", sa.breakdown.run, pa.breakdown.run),
+                    ("idle", sa.breakdown.idle, pa.breakdown.idle),
+                    ("transition", sa.breakdown.transition, pa.breakdown.transition),
+                ] {
+                    assert_eq!(s.to_bits(), p.to_bits(), "{ctx}: energy.{name}");
                 }
             }
         }
@@ -178,8 +171,11 @@ fn auto_mode_matches_both_engines_bit_for_bit() {
     }
 }
 
+/// Admission control over the candidate index rejects exactly the VMs
+/// the full scan over every server rejects, with the same placements
+/// and cost bits.
 #[test]
-fn admission_decisions_are_thread_count_independent() {
+fn admission_decisions_match_the_full_scan_oracle() {
     // Deliberately overloaded: many long-lived VMs on a two-server
     // fleet, so admission control actually rejects work.
     let config = WorkloadConfig::new(40, 2)
@@ -193,23 +189,17 @@ fn admission_decisions_are_thread_count_independent() {
             .allocate_with_admission(&problem)
             .expect("admission-controlled run cannot fail");
         rejected_somewhere |= !seq_rejected.is_empty();
-        for threads in THREADS {
-            let (par_assignment, par_rejected) = Miec::new()
-                .with_parallelism(Parallelism::new(threads))
-                .allocate_with_admission(&problem)
-                .expect("admission-controlled run cannot fail");
-            assert_eq!(seq_rejected, par_rejected, "seed {seed} threads {threads}");
-            assert_eq!(
-                seq_assignment.placement(),
-                par_assignment.placement(),
-                "seed {seed} threads {threads}"
-            );
-            assert_eq!(
-                seq_assignment.total_cost().to_bits(),
-                par_assignment.total_cost().to_bits(),
-                "seed {seed} threads {threads}"
-            );
-        }
+        let (full_assignment, full_rejected) = Miec::new()
+            .without_pruning()
+            .allocate_with_admission(&problem)
+            .expect("admission-controlled run cannot fail");
+        assert_eq!(seq_rejected, full_rejected, "seed {seed}");
+        assert_eq!(seq_assignment.placement(), full_assignment.placement(), "seed {seed}");
+        assert_eq!(
+            seq_assignment.total_cost().to_bits(),
+            full_assignment.total_cost().to_bits(),
+            "seed {seed}"
+        );
     }
     assert!(
         rejected_somewhere,
@@ -255,16 +245,15 @@ fn observed_decision_counters_are_thread_count_independent() {
             };
             let oracle = observe(Parallelism::sequential());
             for threads in THREADS {
-                // shards = 0 is the auto policy; the explicit counts
-                // cross shard boundaries through the batch windows.
-                for (shards, batch) in [(0, 16), (1, 1), (2, 256), (8, 4)] {
-                    let par = Parallelism::new(threads).with_shards(shards).with_batch(batch);
+                // shards = 0 is the auto policy.
+                for shards in [0, 1, 2, 8] {
+                    let par = Parallelism::new(threads).with_shards(shards);
                     let parallel = observe(par);
                     for (name, (s, p)) in EXACT_COUNTERS.iter().zip(oracle.iter().zip(&parallel)) {
                         assert_eq!(
                             s, p,
-                            "{} seed {seed} threads {threads} shards {shards} \
-                             batch {batch}: counter {name}",
+                            "{} seed {seed} threads {threads} shards {shards}: \
+                             counter {name}",
                             kind.name()
                         );
                     }
