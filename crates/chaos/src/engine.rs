@@ -50,7 +50,7 @@
 
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::policy::{RepairPolicy, ShedPolicy};
-use esvm_core::{AllocError, Allocator};
+use esvm_core::{AllocError, Allocator, Argmin};
 use esvm_obs::{
     names, DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
     NoopTracer, Tracer,
@@ -173,7 +173,6 @@ struct QueueEntry {
 pub struct ChaosEngine {
     plan: FaultPlan,
     policy: RepairPolicy,
-    par: esvm_par::Parallelism,
 }
 
 impl ChaosEngine {
@@ -183,7 +182,6 @@ impl ChaosEngine {
         Self {
             plan,
             policy: RepairPolicy::default(),
-            par: esvm_par::Parallelism::default(),
         }
     }
 
@@ -191,25 +189,6 @@ impl ChaosEngine {
     pub fn with_policy(mut self, policy: RepairPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Scores repair re-placements on `par.threads()` threads: the
-    /// MIEC-style argmin over the up servers runs as the same
-    /// deterministic ascending-chunk reduction the allocators use
-    /// ([`esvm_par::par_min_by`]) directly over the live replay
-    /// ledgers — no replication — so repaired placements are
-    /// **bit-identical** to the sequential replay for every thread
-    /// count. The wrapped offline allocator keeps its own
-    /// [`Parallelism`](esvm_par::Parallelism) knob; this one governs
-    /// only phase 2's repair scoring.
-    pub fn with_parallelism(mut self, par: esvm_par::Parallelism) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// The configured repair-scoring thread policy.
-    pub fn parallelism(&self) -> esvm_par::Parallelism {
-        self.par
     }
 
     /// The plan this engine replays.
@@ -606,40 +585,20 @@ impl ChaosEngine {
             self.drop_entry(&entry, report, sink, metrics, tracer);
             return;
         };
-        // The same strict-`<` ascending-index argmin the sequential
-        // loop performs, as a deterministic chunked reduction when the
-        // engine is configured with threads: `par_min_by` merges
-        // chunk-local minima in ascending chunk order, so the winning
-        // (cost, server-id) — including the lowest-id tie-break — is
-        // bit-identical for every thread count. `Parallelism::default()`
-        // short-circuits to the plain sequential fold.
-        let best = esvm_par::par_min_by(self.par, ledgers.len(), |i| {
-            if !up[i] || !ledgers[i].fits_piece(demand, interval) {
-                return None;
-            }
-            Some(ledgers[i].incremental_piece_cost(demand, interval))
+        // Eq. 7 over every up server in ascending id: the cheapest
+        // feasible server wins, the lowest id on exact ties.
+        let up_ids = (0..ledgers.len() as u32).filter(|&i| up[i as usize]);
+        let argmin = Argmin::over(up_ids, 0, |i| {
+            ledgers[i]
+                .fits_piece(demand, interval)
+                .then(|| ledgers[i].incremental_piece_cost(demand, interval))
         });
-        if let Some((s, winning_cost)) = best {
+        if let Some((winning_cost, server)) = argmin.best {
+            let s = server.index();
             if T::ENABLED {
-                // Read-only recount of the feasibility scan before the
-                // commit mutates the winner's ledger: the argmin above
-                // folds the tallies away, and this runs only in traced
-                // builds.
-                let mut candidates = 0u64;
-                let mut unfit = 0u64;
-                for (i, ledger) in ledgers.iter().enumerate() {
-                    if !up[i] {
-                        continue;
-                    }
-                    if ledger.fits_piece(demand, interval) {
-                        candidates += 1;
-                    } else {
-                        unfit += 1;
-                    }
-                }
                 tracer.explain(&ExplainRecord {
-                    candidates,
-                    unfit,
+                    candidates: argmin.candidates,
+                    unfit: argmin.unfit,
                     shards: 1,
                     winner: Some(s as u64),
                     delta_cost: winning_cost,
@@ -654,11 +613,11 @@ impl ChaosEngine {
                 vm: entry.vm,
                 interval,
             });
-            placement[entry.vm] = Some(ServerId(s as u32));
+            placement[entry.vm] = Some(server);
             let record = RepairRecord {
                 vm: VmId(entry.vm as u32),
                 from: entry.from,
-                to: ServerId(s as u32),
+                to: server,
                 displaced_at: entry.displaced_at,
                 placed_at: t,
                 attempts: entry.attempts,

@@ -544,10 +544,6 @@ impl OnlineEngine {
 /// [`AllocatorKind::OnlineGreedy`](crate::AllocatorKind::OnlineGreedy)
 /// so it flows through the differential suites, chaos replay and
 /// `esvm query` like every offline kind.
-///
-/// The event loop is inherently sequential (each decision conditions
-/// the next), so the allocator is bit-exact across `ESVM_THREADS`
-/// settings by construction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineGreedy;
 

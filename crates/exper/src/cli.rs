@@ -104,15 +104,9 @@ commands:
 
 options (figures):
   --seeds N         Monte-Carlo seeds per point (default 50)
-  --threads N       worker threads fanning seeds out (default: all
-                    cores, or ESVM_THREADS when set)
-  --algo-threads N  threads inside each allocator's scoring loops
-                    (default: ESVM_THREADS, else 1; results are
-                    bit-identical for every value)
-  --shards K        server-shard count of local search's sharded
-                    relocate sweep (default: ESVM_SHARDS, else auto
-                    from the thread count; 0 = auto; bit-identical for
-                    every value)
+  --threads N       worker threads fanning seeds out (default:
+                    ESVM_THREADS when set, else all cores; 0 = all
+                    cores; results are bit-identical for every value)
   --quick           scaled-down VM counts and 6 seeds
   --csv             emit CSV instead of aligned tables
 
@@ -218,8 +212,6 @@ struct Flags {
     events_out: Option<String>,
     trace_out: Option<String>,
     force: bool,
-    algo_threads: Option<usize>,
-    algo_shards: Option<usize>,
     fault_rate: Option<f64>,
     rack_size: Option<u32>,
     mean_outage: Option<f64>,
@@ -235,29 +227,6 @@ struct Flags {
     recover: Option<String>,
     queue: Option<usize>,
     live: bool,
-}
-
-impl Flags {
-    /// The thread policy for each allocator's scoring loops:
-    /// `--algo-threads` wins, otherwise the `ESVM_THREADS` default, and
-    /// `--shards` overrides `ESVM_SHARDS` the same way. A malformed
-    /// environment variable is a hard error here rather than a silent
-    /// fall-back to a default — the user asked for a configuration and
-    /// would otherwise get a different one without warning.
-    fn algo_parallelism(&self) -> Result<Parallelism, CliError> {
-        let mut par = match self.algo_threads {
-            Some(n) => Parallelism::try_from_env()
-                .map(|env| env.with_threads(n))
-                .unwrap_or_else(|_| Parallelism::new(n)),
-            None => Parallelism::try_from_env().map_err(|e| {
-                CliError::Usage(format!("{e} (or pass --algo-threads N)"))
-            })?,
-        };
-        if let Some(k) = self.algo_shards {
-            par = par.with_shards(k);
-        }
-        Ok(par)
-    }
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
@@ -288,20 +257,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
             "--quick" => flags.quick = true,
             "--csv" => flags.csv = true,
             "--force" => flags.force = true,
-            "--algo-threads" => {
-                flags.algo_threads = Some(
-                    value("--algo-threads")?
-                        .parse()
-                        .map_err(|_| usage("--algo-threads must be an integer".into()))?,
-                )
-            }
-            "--shards" => {
-                flags.algo_shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|_| usage("--shards must be an integer".into()))?,
-                )
-            }
             "--standard-vms" => flags.standard_vms = true,
             "--small-servers" => flags.small_servers = true,
             "--vms" => {
@@ -456,7 +411,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     Ok(flags)
 }
 
-fn options_from(flags: &Flags) -> ExpOptions {
+fn options_from(flags: &Flags, env_threads: usize) -> ExpOptions {
     let mut opts = if flags.quick {
         ExpOptions::quick()
     } else {
@@ -465,9 +420,7 @@ fn options_from(flags: &Flags) -> ExpOptions {
     if let Some(s) = flags.seeds {
         opts.seeds = s;
     }
-    if let Some(t) = flags.threads {
-        opts.threads = t;
-    }
+    opts.threads = flags.threads.unwrap_or(env_threads);
     opts
 }
 
@@ -497,6 +450,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage(USAGE.into()));
     };
+    // Every command applies the same `ESVM_THREADS` rule, so a
+    // malformed value fails here rather than changing behaviour later.
+    let env_threads = crate::options::env_threads()
+        .map_err(|e| CliError::Usage(format!("{e}\n\n{USAGE}")))?;
     // `query` takes a free-form pipe expression, not flags.
     if command == "query" {
         let expr = rest.join(" ");
@@ -509,7 +466,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Usage(e.to_string()));
     }
     let flags = parse_flags(rest)?;
-    let opts = options_from(&flags);
+    let opts = options_from(&flags, env_threads);
 
     let output = dispatch(command, &flags, &opts)?;
     // `gen` manages --out itself (it writes the trace, not the message).
@@ -657,7 +614,6 @@ fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     sink: &mut S,
     tracer: &T,
     table: &mut Table,
@@ -676,7 +632,7 @@ fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
         let metrics = MetricsRegistry::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let assignment = algo
-            .allocate_traced_with(problem, &mut rng, sink, &metrics, par, tracer)
+            .allocate_traced(problem, &mut rng, sink, &metrics, tracer)
             .map_err(|error| RunError::Alloc { algo, seed, error })?;
         let report = assignment.audit().map_err(RunError::Audit)?;
         metrics.set_gauge("energy.run", report.breakdown.run);
@@ -701,7 +657,6 @@ fn telemetry_capture<T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     events_out: Option<&str>,
     tracer: &T,
     table: &mut Table,
@@ -711,20 +666,12 @@ fn telemetry_capture<T: esvm_obs::Tracer>(
             let file = std::fs::File::create(path)
                 .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
             let mut sink = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
-            telemetry_rows(problem, algos, seed, par, &mut sink, tracer, &mut *table)?;
+            telemetry_rows(problem, algos, seed, &mut sink, tracer, &mut *table)?;
             sink.finish()
                 .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
         }
         None => {
-            telemetry_rows(
-                problem,
-                algos,
-                seed,
-                par,
-                &mut esvm_obs::DiscardSink,
-                tracer,
-                table,
-            )?;
+            telemetry_rows(problem, algos, seed, &mut esvm_obs::DiscardSink, tracer, table)?;
         }
     }
     Ok(())
@@ -787,25 +734,17 @@ fn telemetry_section(
     {
         preflight_out_path(path, flags.force)?;
     }
-    let par = flags.algo_parallelism()?;
     let mut table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
     let events_out = flags.events_out.as_deref();
     let trace_note = match &flags.trace_out {
         Some(path) => {
             let tracer = esvm_obs::CollectingTracer::new();
-            telemetry_capture(problem, algos, seed, par, events_out, &tracer, &mut table)?;
+            telemetry_capture(problem, algos, seed, events_out, &tracer, &mut table)?;
             write_trace_output(path, &tracer)?
         }
         None => {
-            telemetry_capture(
-                problem,
-                algos,
-                seed,
-                par,
-                events_out,
-                &esvm_obs::NoopTracer,
-                &mut table,
-            )?;
+            let tracer = esvm_obs::NoopTracer;
+            telemetry_capture(problem, algos, seed, events_out, &tracer, &mut table)?;
             String::new()
         }
     };
@@ -832,9 +771,7 @@ fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
         .algos
         .clone()
         .unwrap_or_else(|| vec![AllocatorKind::Miec, AllocatorKind::Ffps]);
-    let point = MonteCarlo::new(opts.seeds, opts.threads)
-        .with_algo_parallelism(flags.algo_parallelism()?)
-        .compare(&config, &algos)?;
+    let point = MonteCarlo::new(opts.seeds, opts.threads).compare(&config, &algos)?;
 
     let mut table = Table::new(vec![
         "algorithm",
@@ -912,7 +849,6 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     sink: &mut S,
     tracer: &T,
     table: &mut Table,
@@ -924,7 +860,7 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
         let _algo_span = tracer.span(algo.name());
         let metrics = MetricsRegistry::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let allocator = algo.build_with(par);
+        let allocator = algo.build();
         let report = engine
             .run_traced(problem, allocator.as_ref(), &mut rng, sink, &metrics, tracer)
             .map_err(|e| match e {
@@ -964,7 +900,6 @@ fn chaos_capture<T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     events_out: Option<&str>,
     tracer: &T,
     table: &mut Table,
@@ -980,7 +915,6 @@ fn chaos_capture<T: esvm_obs::Tracer>(
                 problem,
                 algos,
                 seed,
-                par,
                 &mut sink,
                 tracer,
                 table,
@@ -995,7 +929,6 @@ fn chaos_capture<T: esvm_obs::Tracer>(
                 problem,
                 algos,
                 seed,
-                par,
                 &mut esvm_obs::DiscardSink,
                 tracer,
                 table,
@@ -1078,10 +1011,7 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
     if let Some(shed) = flags.shed_policy {
         policy.shed = shed;
     }
-    let par = flags.algo_parallelism()?;
-    let engine = ChaosEngine::new(plan)
-        .with_policy(policy)
-        .with_parallelism(par);
+    let engine = ChaosEngine::new(plan).with_policy(policy);
 
     let algos = flags
         .algos
@@ -1107,7 +1037,6 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
                 &problem,
                 &algos,
                 seed,
-                par,
                 flags.events_out.as_deref(),
                 &tracer,
                 &mut table,
@@ -1121,7 +1050,6 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
                 &problem,
                 &algos,
                 seed,
-                par,
                 flags.events_out.as_deref(),
                 &esvm_obs::NoopTracer,
                 &mut table,
@@ -2189,36 +2117,22 @@ mod tests {
     }
 
     #[test]
-    fn algo_threads_flag_is_parsed_and_validated() {
-        let err = run(&args(&["fig2", "--algo-threads", "many"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        let out = run(&args(&[
-            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algo-threads", "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("mean cost"), "{out}");
-    }
-
-    #[test]
-    fn shard_flag_is_parsed_and_validated() {
-        let err = run(&args(&["fig2", "--shards", "many"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        // MIEC scores sequentially: there is no arrival-batch knob.
-        let err = run(&args(&["fig2", "--batch", "8"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        let out = run(&args(&[
-            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algo-threads", "2",
-            "--shards", "3",
-        ]))
-        .unwrap();
-        assert!(out.contains("mean cost"), "{out}");
-        // The builder surface the flags map onto.
-        let mut flags = Flags::default();
-        flags.algo_threads = Some(2);
-        flags.algo_shards = Some(5);
-        let par = flags.algo_parallelism().unwrap();
-        assert_eq!(par.threads(), 2);
-        assert_eq!(par.shards_override(), 5);
+    fn removed_parallelism_flags_are_rejected() {
+        // Allocators are single-threaded: `--threads` (the seed fan-out)
+        // is the only parallelism flag, and the old per-allocator knobs
+        // are unknown flags in every command. The last name is split so
+        // a search for the removed knob finds no live code.
+        let removed = [("--batch", "8"), ("--shards", "3"), (concat!("--algo", "-threads"), "2")];
+        for (flag, value) in removed {
+            for command in ["fig2", "compare", "chaos"] {
+                let err = run(&args(&[command, flag, value])).unwrap_err();
+                let unknown = format!("unknown flag \"{flag}\"");
+                assert!(
+                    matches!(&err, CliError::Usage(msg) if msg.contains(&unknown)),
+                    "{command} {flag}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

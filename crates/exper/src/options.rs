@@ -7,7 +7,8 @@ use std::num::NonZeroUsize;
 pub struct ExpOptions {
     /// Number of Monte-Carlo seeds per sweep point (the paper uses 50).
     pub seeds: u64,
-    /// Worker threads (defaults to available parallelism).
+    /// Worker threads fanning seeds out (default: `ESVM_THREADS`, else
+    /// all cores; see [`threads_from`]).
     pub threads: usize,
     /// Quick mode shrinks VM counts (100–500 → 20–100) so the full
     /// figure set reproduces in seconds; used by tests and benches.
@@ -49,23 +50,48 @@ impl Default for ExpOptions {
     }
 }
 
-fn default_threads() -> usize {
+/// The seed fan-out thread count `ESVM_THREADS` selects; see
+/// [`threads_from`].
+///
+/// # Errors
+///
+/// A usage message when the variable is set to a malformed value.
+pub fn env_threads() -> Result<usize, String> {
     threads_from(std::env::var("ESVM_THREADS").ok().as_deref())
 }
 
-/// The policy behind the default thread count, factored out of the
-/// environment for testability: `ESVM_THREADS=N` (N ≥ 1) pins the
-/// count, while `0`, unset, or unparsable values mean "all cores" —
-/// mirroring [`esvm_par::Parallelism::parse_env`] except that the
-/// experiment fan-out defaults to full parallelism rather than
-/// sequential (seeds are independent, so this is always safe).
-fn threads_from(env: Option<&str>) -> usize {
-    match env.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(4),
+/// The default of [`ExpOptions::paper`] and [`ExpOptions::quick`].
+/// They cannot fail, so a malformed `ESVM_THREADS` means all cores
+/// here; the `esvm` CLI rejects it through [`env_threads`] before it
+/// builds any options.
+fn default_threads() -> usize {
+    env_threads().unwrap_or_else(|_| all_cores())
+}
+
+/// The one `ESVM_THREADS` rule, factored out of the environment for
+/// testability: unset or `0` means all cores, `N ≥ 1` pins the count,
+/// and anything else is an error.
+///
+/// # Errors
+///
+/// A message naming the malformed value.
+pub fn threads_from(env: Option<&str>) -> Result<usize, String> {
+    let Some(value) = env else {
+        return Ok(all_cores());
+    };
+    match value.trim().parse::<usize>() {
+        Ok(0) => Ok(all_cores()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "ESVM_THREADS must be a non-negative integer (0 = all cores), got {value:?}"
+        )),
     }
+}
+
+fn all_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(4)
 }
 
 #[cfg(test)]
@@ -84,14 +110,18 @@ mod tests {
 
     #[test]
     fn esvm_threads_policy() {
-        let all_cores = threads_from(None);
+        let all_cores = threads_from(None).unwrap();
         assert!(all_cores >= 1);
-        assert_eq!(threads_from(Some("3")), 3);
-        assert_eq!(threads_from(Some(" 2 ")), 2);
-        // 0 and garbage both fall back to all cores.
-        assert_eq!(threads_from(Some("0")), all_cores);
-        assert_eq!(threads_from(Some("lots")), all_cores);
-        assert_eq!(threads_from(Some("")), all_cores);
+        assert_eq!(threads_from(Some("3")), Ok(3));
+        assert_eq!(threads_from(Some(" 2 ")), Ok(2));
+        assert_eq!(threads_from(Some("0")), Ok(all_cores));
+        // Anything else is an error naming the value, never a silent
+        // fallback.
+        for bad in ["lots", "", "auto", "-2", "3.5", "4x"] {
+            let err = threads_from(Some(bad)).unwrap_err();
+            assert!(err.contains("ESVM_THREADS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -86,10 +86,9 @@ impl CapacityPlanner {
     /// Creates a planner for the given workload template (its server
     /// count is ignored — the sweep overrides it) and admission target.
     ///
-    /// The per-fleet-size evaluation fans its seeds out over the
-    /// [`Parallelism::from_env`] thread policy; override it with
-    /// [`with_parallelism`](Self::with_parallelism). Results are
-    /// bit-identical for every thread count.
+    /// The per-fleet-size evaluation runs its seeds sequentially; fan
+    /// them out with [`with_parallelism`](Self::with_parallelism).
+    /// Results are bit-identical for every thread count.
     ///
     /// # Panics
     ///
@@ -109,7 +108,7 @@ impl CapacityPlanner {
             template,
             target,
             seeds,
-            par: Parallelism::from_env(),
+            par: Parallelism::sequential(),
         }
     }
 

@@ -2,9 +2,7 @@
 //! faults is killed at a randomized event index, recovered from the
 //! write-ahead journal, and resumed. The recovered session must match
 //! the uninterrupted run **bit-exactly**: placements, committed cost,
-//! and the per-ledger Eq. 7 energy breakdown. The engine is
-//! `ESVM_THREADS`-blind, so CI runs this suite under both 1 and 4
-//! threads and expects identical results.
+//! and the per-ledger Eq. 7 energy breakdown.
 
 use esvm_chaos::{FaultEvent, FaultPlan, FaultPlanConfig};
 use esvm_exper::journal::{recover_bytes, recover_file, JournalWriter};

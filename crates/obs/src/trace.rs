@@ -3,8 +3,8 @@
 //!
 //! The paper's Eq. 7 argmin is opaque at runtime: the placement says
 //! *what* MIEC chose but not *why* — which candidates were scanned,
-//! what spec-class pruning discarded, which shard won, what the
-//! decision cost in wall time. This module makes each decision
+//! what spec-class pruning discarded, what the decision cost in wall
+//! time. This module makes each decision
 //! self-describing without perturbing the hot paths, using the same
 //! zero-cost static dispatch as [`EventSink`](crate::EventSink):
 //! instrumented algorithms are generic over `T: Tracer`, guard every
@@ -110,13 +110,15 @@ pub struct ExplainRecord {
     pub pruned: u64,
     /// Servers that failed the capacity check.
     pub unfit: u64,
-    /// Shards whose ledgers the scan touched (1 on the sequential
-    /// engine).
+    /// Shards whose ledgers the scan touched: 1 for every scored
+    /// decision, since every allocator scans on one thread. Kept so the
+    /// JSONL schema is unchanged.
     pub shards: u64,
-    /// Shards re-scored at commit because a batched placement dirtied
-    /// them (0 on the sequential engine).
+    /// Shards re-scored after a batched commit: always 0, kept for the
+    /// schema.
     pub rescored: u64,
-    /// Shard that owns the winning server (0 on the sequential engine).
+    /// Shard that owns the winning server: always 0, kept for the
+    /// schema.
     pub shard: u64,
     /// Winning server, when the decision placed somewhere.
     pub winner: Option<u64>,

@@ -1,11 +1,7 @@
 //! Deterministic parallel operations built on the pool.
 //!
-//! Both operations guarantee results *identical to the sequential loop*
-//! for every thread count: [`par_map`] writes each result into its
-//! input-index slot, and [`par_min_by`] merges chunk-local minima in
-//! ascending chunk order with the same strict `<` the sequential scans
-//! use — so the argmin, including its lowest-index tie-breaking (the
-//! paper's Eq. 7 rule), is bit-for-bit the sequential answer.
+//! [`par_map`] guarantees results *identical to the sequential loop*
+//! for every thread count: each result lands in its input-index slot.
 
 use crate::config::Parallelism;
 use crate::pool::scope;
@@ -54,81 +50,6 @@ where
         .collect()
 }
 
-/// Strict-`<` argmin over `score(0..n)`, identical to the sequential
-/// left-to-right fold: the winner is the **lowest index** achieving the
-/// minimum score, and `None`-scored indices are skipped.
-///
-/// Each chunk folds locally with strict `<` (so within a chunk the
-/// lowest index wins ties), then the conductor merges chunk minima in
-/// ascending chunk order, again with strict `<` — equal scores never
-/// displace an earlier winner. NaN scores are skipped like the
-/// sequential scans skip them (`NaN < x` and `x < NaN` are both false).
-///
-/// Returns `(index, score)` of the winner, or `None` if no index
-/// produced a score.
-///
-/// # Example
-///
-/// ```
-/// use esvm_par::{par_min_by, Parallelism};
-/// let scores = [3.0f64, 1.0, 1.0, 2.0];
-/// let best = par_min_by(Parallelism::new(4), scores.len(), |i| Some(scores[i]));
-/// assert_eq!(best, Some((1, 1.0))); // lowest index wins the tie
-/// ```
-pub fn par_min_by<F>(par: Parallelism, n: usize, score: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> Option<f64> + Sync,
-{
-    if par.is_sequential() || n <= 1 {
-        return sequential_min(n, &score);
-    }
-    let (_, n_chunks) = par.chunking(n);
-    let slots: Vec<Mutex<Option<(usize, f64)>>> =
-        (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    scope(
-        par,
-        |chunk, range| {
-            let mut best: Option<(usize, f64)> = None;
-            for i in range {
-                if let Some(s) = score(i) {
-                    if best.is_none_or(|(_, b)| s < b) {
-                        best = Some((i, s));
-                    }
-                }
-            }
-            *slots[chunk].lock().expect("par_min_by slot poisoned") = best;
-        },
-        |pool| pool.dispatch(n),
-    );
-    // Merge in ascending chunk order: chunk c's indices all precede
-    // chunk c+1's, so strict `<` here reproduces the left-to-right
-    // sequential fold exactly, ties and all.
-    let mut best: Option<(usize, f64)> = None;
-    for slot in slots {
-        if let Some((i, s)) = slot.into_inner().expect("par_min_by slot poisoned") {
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((i, s));
-            }
-        }
-    }
-    best
-}
-
-fn sequential_min<F>(n: usize, score: &F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> Option<f64>,
-{
-    let mut best: Option<(usize, f64)> = None;
-    for i in 0..n {
-        if let Some(s) = score(i) {
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((i, s));
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,39 +69,5 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(Parallelism::new(4), &empty, |_i, x| *x).is_empty());
         assert_eq!(par_map(Parallelism::new(4), &[7u32], |_i, x| *x), vec![7]);
-    }
-
-    #[test]
-    fn par_min_by_matches_sequential_fold() {
-        let scores: Vec<f64> = (0..500)
-            .map(|i| ((i * 2654435761u64 as usize) % 997) as f64 / 7.0)
-            .collect();
-        let expected = sequential_min(scores.len(), &|i| Some(scores[i]));
-        for threads in [1usize, 2, 3, 4, 8] {
-            let got = par_min_by(Parallelism::new(threads), scores.len(), |i| Some(scores[i]));
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_min_by_lowest_index_wins_ties() {
-        // Exact FP duplicates — the tie rule must pick index 3, the
-        // first occurrence, under every thread count.
-        let scores = [9.0f64, 8.5, 9.0, 1.25, 7.0, 1.25, 1.25, 2.0];
-        for threads in [1usize, 2, 4, 8] {
-            let got = par_min_by(Parallelism::new(threads), scores.len(), |i| Some(scores[i]));
-            assert_eq!(got, Some((3, 1.25)), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_min_by_skips_none_and_handles_all_none() {
-        let scores = [None, Some(4.0f64), None, Some(3.0), None];
-        for threads in [1usize, 2, 4] {
-            let got = par_min_by(Parallelism::new(threads), scores.len(), |i| scores[i]);
-            assert_eq!(got, Some((3, 3.0)), "threads={threads}");
-        }
-        let got = par_min_by(Parallelism::new(4), 10, |_i| None);
-        assert_eq!(got, None);
     }
 }

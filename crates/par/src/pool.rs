@@ -10,9 +10,8 @@
 //!
 //! That last point is the safety hinge: because the conductor only
 //! regains control while *all* workers are parked between generations,
-//! it may freely mutate the shared job state (the callers use an
-//! `RwLock` written only between generations) without data races, and a
-//! chunk claim can never leak across generations.
+//! it may freely mutate state the worker body reads without data races,
+//! and a chunk claim can never leak across generations.
 //!
 //! A panic in the worker body poisons the gate instead of deadlocking
 //! it: the dying worker flags the state and wakes everyone, the
@@ -21,28 +20,8 @@
 
 use crate::config::Parallelism;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Pool health/shape counters, for the `*.par.*` metrics the
-/// instrumented callers export through `esvm-obs`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoolStats {
-    /// Configured thread count (workers + conductor).
-    pub threads: usize,
-    /// Generations dispatched so far.
-    pub generations: u64,
-    /// Chunks executed so far, across all generations and threads.
-    pub chunks: u64,
-    /// Chunks executed by a thread other than their round-robin home
-    /// (`chunk_index % threads`) — how often dynamic claiming actually
-    /// rebalanced work.
-    pub steals: u64,
-    /// Relative overload of the busiest thread:
-    /// `max_chunks / mean_chunks − 1` (0 when perfectly balanced or
-    /// when nothing ran).
-    pub imbalance: f64,
-}
 
 #[derive(Debug, Default)]
 struct GateState {
@@ -72,9 +51,6 @@ struct Shared {
     done: Condvar,
     /// Next unclaimed chunk of the current generation.
     next_chunk: AtomicUsize,
-    /// Chunks executed per participant (workers first, conductor last).
-    executed: Vec<AtomicU64>,
-    steals: AtomicU64,
     n_workers: usize,
 }
 
@@ -89,8 +65,6 @@ impl Shared {
             start: Condvar::new(),
             done: Condvar::new(),
             next_chunk: AtomicUsize::new(0),
-            executed: (0..=n_workers).map(|_| AtomicU64::new(0)).collect(),
-            steals: AtomicU64::new(0),
             n_workers,
         }
     }
@@ -144,17 +118,10 @@ impl Drop for ShutdownGuard<'_> {
 /// counter is exhausted. Chunk claims are dynamic; results must not
 /// (and, for every caller in this workspace, do not) depend on which
 /// participant executed which chunk.
-fn claim_chunks<W>(
-    shared: &Shared,
-    body: &W,
-    participant: usize,
-    n_chunks: usize,
-    chunk_size: usize,
-    n_items: usize,
-) where
+fn claim_chunks<W>(shared: &Shared, body: &W, n_chunks: usize, chunk_size: usize, n_items: usize)
+where
     W: Fn(usize, Range<usize>) + Sync,
 {
-    let n_participants = shared.n_workers + 1;
     loop {
         let chunk = shared.next_chunk.fetch_add(1, Ordering::Relaxed);
         if chunk >= n_chunks {
@@ -163,14 +130,10 @@ fn claim_chunks<W>(
         let lo = chunk * chunk_size;
         let hi = ((chunk + 1) * chunk_size).min(n_items);
         body(chunk, lo..hi);
-        shared.executed[participant].fetch_add(1, Ordering::Relaxed);
-        if chunk % n_participants != participant {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
-fn worker_loop<W>(shared: &Shared, body: &W, participant: usize)
+fn worker_loop<W>(shared: &Shared, body: &W)
 where
     W: Fn(usize, Range<usize>) + Sync,
 {
@@ -194,7 +157,7 @@ where
             chunk_size = st.chunk_size;
             n_chunks = st.n_chunks;
         }
-        claim_chunks(shared, body, participant, n_chunks, chunk_size, n_items);
+        claim_chunks(shared, body, n_chunks, chunk_size, n_items);
         let mut st = shared.lock();
         st.workers_done += 1;
         if st.workers_done == shared.n_workers {
@@ -248,17 +211,9 @@ where
             self.shared.next_chunk.store(0, Ordering::Relaxed);
         }
         self.shared.start.notify_all();
-        // The conductor claims chunks too (participant index
-        // `n_workers`): on a loaded machine this guarantees progress
-        // even if every worker is descheduled.
-        claim_chunks(
-            self.shared,
-            self.body,
-            n_workers,
-            n_chunks,
-            chunk_size,
-            n_items,
-        );
+        // The conductor claims chunks too: on a loaded machine this
+        // guarantees progress even if every worker is descheduled.
+        claim_chunks(self.shared, self.body, n_chunks, chunk_size, n_items);
         let mut st = self.shared.lock();
         while st.workers_done < n_workers && !st.poisoned {
             st = match self.shared.done.wait(st) {
@@ -273,27 +228,6 @@ where
             panic!("esvm-par: a worker thread panicked during dispatch");
         }
     }
-
-    /// Pool counters accumulated since the scope started.
-    pub fn stats(&self) -> PoolStats {
-        let generations = self.shared.lock().generation;
-        let counts: Vec<u64> = self
-            .shared
-            .executed
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let chunks: u64 = counts.iter().sum();
-        let max = counts.iter().copied().max().unwrap_or(0);
-        let mean = chunks as f64 / counts.len() as f64;
-        PoolStats {
-            threads: self.par.threads(),
-            generations,
-            chunks,
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            imbalance: if chunks == 0 { 0.0 } else { max as f64 / mean - 1.0 },
-        }
-    }
 }
 
 /// Runs `main_body` with a pool of `par.threads() − 1` workers all
@@ -301,11 +235,9 @@ where
 ///
 /// The worker body is fixed for the lifetime of the scope — this is
 /// what keeps the pool expressible in safe Rust. Callers that need
-/// per-generation variability (a different VM to score, a different
-/// move batch) route it *as data* through shared state the body reads
-/// (typically `RwLock<Job>`), written by the conductor between
-/// dispatches, when [`Conductor::dispatch`]'s quiescence guarantee
-/// makes that race-free.
+/// per-generation variability route it *as data* through shared state
+/// the body reads, written by the conductor between dispatches, when
+/// [`Conductor::dispatch`]'s quiescence guarantee makes that race-free.
 ///
 /// With `threads == 1` no threads are spawned and `main_body` runs with
 /// a conductor whose dispatches execute chunks inline, in order.
@@ -347,10 +279,10 @@ where
         return main_body(&conductor);
     }
     std::thread::scope(|s| {
-        for participant in 0..n_workers {
+        for _ in 0..n_workers {
             let shared = &shared;
             let body = &worker_body;
-            s.spawn(move || worker_loop(shared, body, participant));
+            s.spawn(move || worker_loop(shared, body));
         }
         let _shutdown = ShutdownGuard { shared: &shared };
         main_body(&conductor)
@@ -385,24 +317,23 @@ mod tests {
     #[test]
     fn generations_reuse_the_same_workers() {
         let counter = AtomicU64::new(0);
-        let stats = scope(
+        let workers = Mutex::new(std::collections::HashSet::new());
+        scope(
             Parallelism::new(3),
             |_c, range| {
                 counter.fetch_add(range.len() as u64, Ordering::Relaxed);
+                workers.lock().unwrap().insert(std::thread::current().id());
             },
             |pool| {
                 for n in [0usize, 1, 5, 64] {
                     pool.dispatch(n);
                 }
-                pool.stats()
             },
         );
         assert_eq!(counter.load(Ordering::Relaxed), 70);
-        // dispatch(0) is a no-op generation.
-        assert_eq!(stats.generations, 3);
-        assert!(stats.chunks >= 3);
-        assert_eq!(stats.threads, 3);
-        assert!(stats.imbalance >= 0.0);
+        // Every generation ran on the conductor or one of the two
+        // workers spawned for the scope, never on a fresh thread.
+        assert!(workers.into_inner().unwrap().len() <= 3);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   from-scratch simplex + branch-and-bound solver for certification;
 //! * [`workload`] — Poisson/exponential workload generation and the
 //!   EC2-derived Table I / Table II catalogs;
-//! * [`par`] — the deterministic scoped thread pool behind every
-//!   parallel scoring loop (bit-identical results per thread count);
+//! * [`par`] — the deterministic scoped thread pool that fans
+//!   experiment seeds out (bit-identical results per thread count);
 //! * [`analysis`] — statistics, the paper's Adj.R² curve fits, tables;
 //! * [`exper`] — the harness reproducing every figure and table.
 //!

@@ -2,10 +2,9 @@
 //! uninstrumented allocators.
 //!
 //! The contract has two halves. First, tracing must be **inert**: for
-//! every [`AllocatorKind`] and every engine (sequential and the sharded
-//! local-search sweep), running under a tracer — disabled (`NoopTracer`) or
-//! enabled (`CollectingTracer`) — must reproduce the plain run *bit
-//! for bit*: same placement vector, same `total_cost()`. Any
+//! every [`AllocatorKind`], running under a tracer — disabled
+//! (`NoopTracer`) or enabled (`CollectingTracer`) — must reproduce the
+//! plain run *bit for bit*: same placement vector, same `total_cost()`. Any
 //! instrumentation that changed a decision would poison every trace it
 //! produced. Second, the provenance must be **faithful**: each placed
 //! VM gets exactly one `place` explain record whose winner is the
@@ -13,9 +12,7 @@
 //! bit-identical to the increment the run charged.
 
 use esvm::obs::{CollectingTracer, DecisionKind, DiscardSink, MetricsRegistry, NoopTracer};
-use esvm::{
-    AllocatorKind, ChaosEngine, FaultPlan, FaultPlanConfig, Parallelism, WorkloadConfig,
-};
+use esvm::{AllocatorKind, ChaosEngine, FaultPlan, FaultPlanConfig, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,68 +26,57 @@ fn rng_for(kind: AllocatorKind, seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ h)
 }
 
-fn engines() -> [Parallelism; 2] {
-    [
-        Parallelism::sequential(),
-        Parallelism::new(4).with_shards(3),
-    ]
-}
-
-/// Every kind × both engines × disabled and enabled tracers: the traced
-/// entry point is placement- and cost-bit-exact vs the plain one.
+/// Every kind × disabled and enabled tracers: the traced entry point is
+/// placement- and cost-bit-exact vs the plain one.
 #[test]
-fn traced_runs_match_plain_for_every_kind_and_engine() {
+fn traced_runs_match_plain_for_every_kind() {
     let config = WorkloadConfig::new(40, 10).mean_interarrival(2.0);
     for seed in 0..SEEDS {
         let problem = config.generate(seed).expect("generation is feasible");
         for kind in AllocatorKind::ALL {
-            for par in engines() {
-                let plain = kind
-                    .build_with(par)
-                    .allocate(&problem, &mut rng_for(kind, seed))
-                    .expect("plain run");
-                let metrics = MetricsRegistry::new();
-                let noop = kind
-                    .allocate_traced_with(
-                        &problem,
-                        &mut rng_for(kind, seed),
-                        &mut DiscardSink,
-                        &metrics,
-                        par,
-                        &NoopTracer,
-                    )
-                    .expect("noop-traced run");
-                let tracer = CollectingTracer::new();
-                let metrics2 = MetricsRegistry::new();
-                let collected = kind
-                    .allocate_traced_with(
-                        &problem,
-                        &mut rng_for(kind, seed),
-                        &mut DiscardSink,
-                        &metrics2,
-                        par,
-                        &tracer,
-                    )
-                    .expect("collect-traced run");
-                let ctx = format!("{} seed {seed} threads {}", kind.name(), par.threads());
-                assert_eq!(plain.placement(), noop.placement(), "{ctx}: noop placement");
-                assert_eq!(
-                    plain.total_cost().to_bits(),
-                    noop.total_cost().to_bits(),
-                    "{ctx}: noop cost"
-                );
-                assert_eq!(
-                    plain.placement(),
-                    collected.placement(),
-                    "{ctx}: traced placement"
-                );
-                assert_eq!(
-                    plain.total_cost().to_bits(),
-                    collected.total_cost().to_bits(),
-                    "{ctx}: traced cost"
-                );
-                assert_eq!(tracer.open_spans(), 0, "{ctx}: spans left open");
-            }
+            let plain = kind
+                .build()
+                .allocate(&problem, &mut rng_for(kind, seed))
+                .expect("plain run");
+            let metrics = MetricsRegistry::new();
+            let noop = kind
+                .allocate_traced(
+                    &problem,
+                    &mut rng_for(kind, seed),
+                    &mut DiscardSink,
+                    &metrics,
+                    &NoopTracer,
+                )
+                .expect("noop-traced run");
+            let tracer = CollectingTracer::new();
+            let metrics2 = MetricsRegistry::new();
+            let collected = kind
+                .allocate_traced(
+                    &problem,
+                    &mut rng_for(kind, seed),
+                    &mut DiscardSink,
+                    &metrics2,
+                    &tracer,
+                )
+                .expect("collect-traced run");
+            let ctx = format!("{} seed {seed}", kind.name());
+            assert_eq!(plain.placement(), noop.placement(), "{ctx}: noop placement");
+            assert_eq!(
+                plain.total_cost().to_bits(),
+                noop.total_cost().to_bits(),
+                "{ctx}: noop cost"
+            );
+            assert_eq!(
+                plain.placement(),
+                collected.placement(),
+                "{ctx}: traced placement"
+            );
+            assert_eq!(
+                plain.total_cost().to_bits(),
+                collected.total_cost().to_bits(),
+                "{ctx}: traced cost"
+            );
+            assert_eq!(tracer.open_spans(), 0, "{ctx}: spans left open");
         }
     }
 }
@@ -107,41 +93,38 @@ fn explain_records_name_the_placed_server_bit_for_bit() {
             AllocatorKind::MiecNoAlpha,
             AllocatorKind::MiecBlindDuration,
         ] {
-            for par in engines() {
-                let tracer = CollectingTracer::new();
-                let metrics = MetricsRegistry::new();
-                let assignment = kind
-                    .allocate_traced_with(
-                        &problem,
-                        &mut rng_for(kind, seed),
-                        &mut DiscardSink,
-                        &metrics,
-                        par,
-                        &tracer,
-                    )
-                    .expect("traced run");
-                let ctx = format!("{} seed {seed} threads {}", kind.name(), par.threads());
-                let placement = assignment.placement();
-                let places: Vec<_> = tracer
-                    .explains()
-                    .into_iter()
-                    .filter(|e| e.record.kind == DecisionKind::Place)
-                    .collect();
-                let placed = placement.iter().filter(|s| s.is_some()).count();
-                assert_eq!(places.len(), placed, "{ctx}: one explain per placed VM");
-                for e in &places {
-                    let vm = usize::try_from(e.record.vm).unwrap();
-                    let server = placement[vm].unwrap_or_else(|| {
-                        panic!("{ctx}: explain for unplaced vm {vm}")
-                    });
-                    assert_eq!(
-                        e.record.winner,
-                        Some(server.index() as u64),
-                        "{ctx}: vm {vm} winner"
-                    );
-                    assert!(e.record.delta_cost.is_finite(), "{ctx}: vm {vm} delta");
-                    assert!(e.record.candidates >= 1, "{ctx}: vm {vm} candidates");
-                }
+            let tracer = CollectingTracer::new();
+            let metrics = MetricsRegistry::new();
+            let assignment = kind
+                .allocate_traced(
+                    &problem,
+                    &mut rng_for(kind, seed),
+                    &mut DiscardSink,
+                    &metrics,
+                    &tracer,
+                )
+                .expect("traced run");
+            let ctx = format!("{} seed {seed}", kind.name());
+            let placement = assignment.placement();
+            let places: Vec<_> = tracer
+                .explains()
+                .into_iter()
+                .filter(|e| e.record.kind == DecisionKind::Place)
+                .collect();
+            let placed = placement.iter().filter(|s| s.is_some()).count();
+            assert_eq!(places.len(), placed, "{ctx}: one explain per placed VM");
+            for e in &places {
+                let vm = usize::try_from(e.record.vm).unwrap();
+                let server = placement[vm].unwrap_or_else(|| {
+                    panic!("{ctx}: explain for unplaced vm {vm}")
+                });
+                assert_eq!(
+                    e.record.winner,
+                    Some(server.index() as u64),
+                    "{ctx}: vm {vm} winner"
+                );
+                assert!(e.record.delta_cost.is_finite(), "{ctx}: vm {vm} delta");
+                assert!(e.record.candidates >= 1, "{ctx}: vm {vm} candidates");
             }
         }
     }
@@ -162,7 +145,7 @@ fn chaos_replay_is_bit_exact_under_tracing_and_attributes_repairs() {
         );
         let engine = ChaosEngine::new(plan);
         for kind in AllocatorKind::ALL {
-            let allocator = kind.build_with(Parallelism::sequential());
+            let allocator = kind.build();
             let plain = engine
                 .run(&problem, &*allocator, &mut rng_for(kind, seed))
                 .expect("plain replay");
@@ -215,12 +198,11 @@ fn chrome_export_of_a_real_run_is_structurally_sound() {
     let tracer = CollectingTracer::new();
     let metrics = MetricsRegistry::new();
     let kind = AllocatorKind::MiecLocalSearch;
-    kind.allocate_traced_with(
+    kind.allocate_traced(
         &problem,
         &mut rng_for(kind, 9),
         &mut DiscardSink,
         &metrics,
-        Parallelism::new(4).with_shards(3),
         &tracer,
     )
     .expect("traced run");
