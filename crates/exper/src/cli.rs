@@ -2116,14 +2116,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn removed_parallelism_flags_are_rejected() {
-        // Allocators are single-threaded: `--threads` (the seed fan-out)
-        // is the only parallelism flag, and the old per-allocator knobs
-        // are unknown flags in every command. The last name is split so
-        // a search for the removed knob finds no live code.
-        let removed = [("--batch", "8"), ("--shards", "3"), (concat!("--algo", "-threads"), "2")];
-        for (flag, value) in removed {
+    /// Allocators are single-threaded: `--threads` (the seed fan-out) is
+    /// the only parallelism flag, and the old per-allocator knobs are
+    /// unknown flags in every command.
+    fn assert_flags_unknown(removed: &[(&str, &str)]) {
+        for &(flag, value) in removed {
             for command in ["fig2", "compare", "chaos"] {
                 let err = run(&args(&[command, flag, value])).unwrap_err();
                 let unknown = format!("unknown flag \"{flag}\"");
@@ -2133,6 +2130,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shard_flag_is_rejected() {
+        // MIEC scores sequentially, so the arrival-batch knob is gone too.
+        assert_flags_unknown(&[("--shards", "3"), ("--batch", "8")]);
+    }
+
+    #[test]
+    fn allocator_thread_flag_is_rejected() {
+        // The name is split so a search for the removed knob finds no
+        // live code.
+        assert_flags_unknown(&[(concat!("--algo", "-threads"), "2")]);
     }
 
     #[test]
