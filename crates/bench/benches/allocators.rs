@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esvm_bench::{assert_no_regression, committed_bench_field, time_best, time_pair_best};
 use esvm_core::{Allocator, AllocatorKind, Miec};
-use esvm_obs::{DiscardSink, MetricsRegistry};
+use esvm_obs::{DiscardSink, MetricsRegistry, Telemetry};
 use esvm_workload::WorkloadConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -178,7 +178,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
         b.iter(|| {
             let metrics = MetricsRegistry::new();
             let a = Miec::new()
-                .allocate_observed(black_box(&problem), &mut DiscardSink, &metrics)
+                .allocate_traced(black_box(&problem), &metrics)
                 .unwrap();
             black_box(a.total_cost())
         })
@@ -210,9 +210,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     // One instrumented run: the scan counters that characterise this
     // instance, plus a decision-equivalence check against the plain run.
     let metrics = MetricsRegistry::new();
-    let observed = Miec::new()
-        .allocate_observed(&problem, &mut DiscardSink, &metrics)
-        .unwrap();
+    let observed = Miec::new().allocate_traced(&problem, &metrics).unwrap();
     assert_eq!(
         observed.placement(),
         fast.placement(),
@@ -242,16 +240,17 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     let instrumented_s = time_best(7, || {
         let metrics = MetricsRegistry::new();
         Miec::new()
-            .allocate_observed(&problem, &mut DiscardSink, &metrics)
+            .allocate_traced(&problem, &metrics)
             .unwrap()
             .total_cost()
     });
-    // Provenance tracing at the same point: the statically disabled
-    // NoopTracer path (the shipping default — must cost nothing beyond
-    // the metrics layer it rides on) and the enabled CollectingTracer
-    // path (a span per decision plus one explain record per placement).
-    // Each ratio comes from an interleaved pair against the
-    // instrumented baseline so scheduler drift cancels, and the
+    // Provenance tracing at the same point. The noop leg pairs the
+    // `allocate_observed` shim with `allocate_traced` on the same
+    // metrics-only probe (the shim must cost nothing). The enabled leg
+    // pairs the metrics-only probe with the composite `Telemetry` probe
+    // holding a CollectingTracer (a span per decision plus one explain
+    // record per placement). Each ratio comes from an interleaved pair
+    // against the instrumented baseline so scheduler drift cancels, and the
     // enabled run reuses one warm tracer (reset between runs) so the
     // gate measures steady-state recording, not first-run page-ins.
     // Wall-clock ratios on shared machines still see multi-10ms
@@ -275,7 +274,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             || {
                 let metrics = MetricsRegistry::new();
                 Miec::new()
-                    .allocate_traced(&problem, &mut DiscardSink, &metrics, &esvm_obs::NoopTracer)
+                    .allocate_traced(&problem, &metrics)
                     .unwrap()
                     .total_cost()
             },
@@ -288,15 +287,17 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             || {
                 let metrics = MetricsRegistry::new();
                 Miec::new()
-                    .allocate_observed(&problem, &mut DiscardSink, &metrics)
+                    .allocate_traced(&problem, &metrics)
                     .unwrap()
                     .total_cost()
             },
             || {
                 let metrics = MetricsRegistry::new();
                 warm_tracer.reset();
+                let probe =
+                    Telemetry { metrics: &metrics, events: None, tracer: Some(&warm_tracer) };
                 Miec::new()
-                    .allocate_traced(&problem, &mut DiscardSink, &metrics, &warm_tracer)
+                    .allocate_traced(&problem, &probe)
                     .unwrap()
                     .total_cost()
             },
@@ -369,13 +370,13 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     );
     // Gate at the 5% acceptance margin widened by the ratio noise this
     // very run observed (per-round spread of optimised/reference): the
-    // disabled-sink path must stay within noise of the committed number.
+    // disabled-probe path must stay within noise of the committed number.
     println!(
         "miec ratio noise this run: {:.1}%",
         pair.ratio_noise * 100.0
     );
     assert_no_regression(
-        "miec optimised/reference ratio (no-op sink)",
+        "miec optimised/reference ratio (no-op probe)",
         optimised_s / reference_s,
         committed_ratio,
         0.05 + pair.ratio_noise,

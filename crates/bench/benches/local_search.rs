@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esvm_bench::{assert_no_regression, committed_bench_field, time_best, time_pair_best};
 use esvm_core::{Allocator, Consolidator, Ffps, LocalSearch, SearchMove};
-use esvm_obs::{DiscardSink, MetricsRegistry};
+use esvm_obs::{MetricsRegistry, NoopTracer};
 use esvm_simcore::VmId;
 use esvm_workload::WorkloadConfig;
 use rand::rngs::StdRng;
@@ -65,12 +65,12 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
         })
     });
     // Metrics-on scale point: the same search with counters and
-    // histograms recording (events discarded).
+    // histograms recording (the metrics-only probe).
     group.bench_function(BenchmarkId::from_parameter("instrumented"), |b| {
         b.iter(|| {
             let metrics = MetricsRegistry::new();
             let (refined, _) = LocalSearch::new()
-                .refine_observed(black_box(&base), &mut DiscardSink, &metrics)
+                .refine_traced(black_box(&base), &metrics)
                 .unwrap();
             black_box(refined.total_cost())
         })
@@ -80,8 +80,10 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // Refinement equivalence: the delta-scored search must walk the same
     // first-improvement trajectory as the reference (up to FP ties at
     // the acceptance threshold, which these instances do not exhibit).
-    let (fast, fast_moves) = LocalSearch::new().refine_traced(&base).unwrap();
-    let (slow, slow_moves) = LocalSearch::reference().refine_traced(&base).unwrap();
+    let (fast, fast_moves) = LocalSearch::new().refine_traced(&base, &NoopTracer).unwrap();
+    let (slow, slow_moves) = LocalSearch::reference()
+        .refine_traced(&base, &NoopTracer)
+        .unwrap();
     let trajectory_equivalent = fast_moves.len() == slow_moves.len()
         && fast_moves
             .iter()
@@ -99,7 +101,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // this instance, plus a decision-equivalence check.
     let search_metrics = MetricsRegistry::new();
     let (observed, observed_moves) = LocalSearch::new()
-        .refine_observed(&base, &mut DiscardSink, &search_metrics)
+        .refine_traced(&base, &search_metrics)
         .unwrap();
     assert_eq!(
         observed.placement(),
@@ -123,7 +125,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     let instrumented_s = time_best(7, || {
         let metrics = MetricsRegistry::new();
         let (refined, _) = LocalSearch::new()
-            .refine_observed(&base, &mut DiscardSink, &metrics)
+            .refine_traced(&base, &metrics)
             .unwrap();
         refined.total_cost()
     });
@@ -140,7 +142,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // 5% acceptance margin widened by the ratio noise this run observed
     // (per-round spread of optimised/reference).
     assert_no_regression(
-        "local search optimised/reference ratio (no-op sink)",
+        "local search optimised/reference ratio (no-op probe)",
         optimised_s / reference_s,
         committed_ratio,
         0.05 + pair.ratio_noise,
@@ -188,7 +190,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
          reference {consolidation_reference_s:.3} s, {consolidation_speedup:.1}x"
     );
     assert_no_regression(
-        "consolidation optimised/reference ratio (no-op sink)",
+        "consolidation optimised/reference ratio (no-op probe)",
         consolidation_optimised_s / consolidation_reference_s,
         committed_consolidation_ratio,
         0.05 + consolidation_pair.ratio_noise,
@@ -197,7 +199,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // Instrumented consolidation run for the eviction counters.
     let consolidator_metrics = MetricsRegistry::new();
     Consolidator::new(2.0)
-        .consolidate_observed(&base, &mut DiscardSink, &consolidator_metrics)
+        .consolidate_traced(&base, &consolidator_metrics)
         .unwrap();
     let evictions_committed =
         consolidator_metrics.counter("consolidator.evictions_committed");

@@ -51,10 +51,7 @@
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::policy::{RepairPolicy, ShedPolicy};
 use esvm_core::{AllocError, Allocator, Argmin};
-use esvm_obs::{
-    names, DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
-    NoopTracer, Tracer,
-};
+use esvm_obs::{names, DecisionKind, Event, ExplainRecord, FieldValue, NoopTracer, Tracer};
 use esvm_simcore::{
     AllocationProblem, EnergyBreakdown, Interval, ServerId, ServerLedger, TimeUnit, VmId,
 };
@@ -210,46 +207,32 @@ impl ChaosEngine {
         allocator: &dyn Allocator,
         rng: &mut dyn RngCore,
     ) -> Result<ChaosReport, ChaosError> {
-        let metrics = MetricsRegistry::new();
-        self.run_observed(problem, allocator, rng, &mut NoopSink, &metrics)
+        self.run_traced(problem, allocator, rng, &NoopTracer)
     }
 
-    /// [`ChaosEngine::run`] with chaos events emitted to `sink` and
-    /// robustness metrics recorded in `metrics` (see
-    /// [`esvm_obs::names::chaos`]).
+    /// [`ChaosEngine::run`] reporting to `tracer`:
+    ///
+    /// * spans: phase 1 runs under a `chaos.offline` span, phase 2 under
+    ///   `chaos.replay` with one `chaos.attempt` child per
+    ///   repair-scoring pass;
+    /// * explain records: every repair / shed / refusal emits a
+    ///   [`DecisionKind::Repair`] / [`DecisionKind::Shed`] /
+    ///   [`DecisionKind::Refuse`] record attributing the displacement
+    ///   source, attempt count and instant;
+    /// * events: one `chaos.*` event per outage, recovery, eviction,
+    ///   repair, shed and refusal;
+    /// * metrics: the robustness metrics of [`esvm_obs::names::chaos`].
+    ///
+    /// With [`NoopTracer`] this *is* [`ChaosEngine::run`].
     ///
     /// # Errors
     ///
     /// [`ChaosError::Offline`] when the wrapped allocator fails.
-    pub fn run_observed<S: EventSink>(
+    pub fn run_traced<T: Tracer>(
         &self,
         problem: &AllocationProblem,
         allocator: &dyn Allocator,
         rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> Result<ChaosReport, ChaosError> {
-        self.run_traced(problem, allocator, rng, sink, metrics, &NoopTracer)
-    }
-
-    /// [`ChaosEngine::run_observed`] with decision provenance: phase 1
-    /// runs under a `chaos.offline` span, phase 2 under `chaos.replay`
-    /// with one `chaos.attempt` child per repair-scoring pass, and every
-    /// repair / shed / refusal emits a [`DecisionKind::Repair`] /
-    /// [`DecisionKind::Shed`] / [`DecisionKind::Refuse`] explain record
-    /// attributing the displacement source, attempt count and instant.
-    /// With [`NoopTracer`] this *is* [`ChaosEngine::run_observed`].
-    ///
-    /// # Errors
-    ///
-    /// [`ChaosError::Offline`] when the wrapped allocator fails.
-    pub fn run_traced<S: EventSink, T: Tracer>(
-        &self,
-        problem: &AllocationProblem,
-        allocator: &dyn Allocator,
-        rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> Result<ChaosReport, ChaosError> {
         let intended = {
@@ -261,18 +244,16 @@ impl ChaosEngine {
         let offline_cost = intended.total_cost();
         let intended_placement: Vec<Option<ServerId>> = intended.placement().to_vec();
         drop(intended);
-        Ok(self.replay(problem, &intended_placement, offline_cost, sink, metrics, tracer))
+        Ok(self.replay(problem, &intended_placement, offline_cost, tracer))
     }
 
     /// Phase 2: event-driven replay of the intended placement under the
     /// fault plan.
-    fn replay<S: EventSink, T: Tracer>(
+    fn replay<T: Tracer>(
         &self,
         problem: &AllocationProblem,
         intended: &[Option<ServerId>],
         offline_cost: f64,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> ChaosReport {
         let _replay_span = tracer.span("chaos.replay");
@@ -327,8 +308,8 @@ impl ChaosEngine {
                                     resolved_outages.push((s, c, t));
                                 }
                             }
-                            if S::ENABLED {
-                                sink.emit(&Event {
+                            if T::ENABLED {
+                                tracer.event(&Event {
                                     name: "chaos.server_up",
                                     fields: &[
                                         ("server", FieldValue::U64(s as u64)),
@@ -343,8 +324,8 @@ impl ChaosEngine {
                         if s < n && up[s] {
                             up[s] = false;
                             outage_start[s] = Some(t);
-                            if S::ENABLED {
-                                sink.emit(&Event {
+                            if T::ENABLED {
+                                tracer.event(&Event {
                                     name: "chaos.server_down",
                                     fields: &[
                                         ("server", FieldValue::U64(s as u64)),
@@ -361,8 +342,6 @@ impl ChaosEngine {
                                 &mut resident,
                                 &mut queue,
                                 &mut report,
-                                sink,
-                                metrics,
                                 tracer,
                             );
                         }
@@ -394,8 +373,6 @@ impl ChaosEngine {
                     &mut queue,
                     &mut agenda,
                     &mut report,
-                    sink,
-                    metrics,
                     tracer,
                 );
             }
@@ -440,8 +417,6 @@ impl ChaosEngine {
                         &mut queue,
                         &mut agenda,
                         &mut report,
-                        sink,
-                        metrics,
                         tracer,
                     );
                 }
@@ -452,10 +427,10 @@ impl ChaosEngine {
         // retry instant that could matter — count it as lost.
         let leftovers = std::mem::take(&mut queue);
         for entry in leftovers {
-            self.drop_entry(&entry, &mut report, sink, metrics, tracer);
+            self.drop_entry(&entry, &mut report, tracer);
         }
 
-        self.charge_recovery_transitions(&ledgers, &resolved_outages, &mut report, metrics);
+        self.charge_recovery_transitions(&ledgers, &resolved_outages, &mut report, tracer);
 
         for ledger in &ledgers {
             let b = ledger.energy_breakdown();
@@ -464,10 +439,10 @@ impl ChaosEngine {
             report.breakdown.idle += b.idle;
             report.breakdown.transition += b.transition;
         }
-        if S::ENABLED {
-            metrics.set_gauge(names::chaos::ENERGY_COST, report.cost);
-            metrics.set_gauge(names::chaos::ENERGY_ADJUSTED_COST, report.adjusted_cost());
-            metrics.set_gauge(names::chaos::ENERGY_OFFLINE_COST, offline_cost);
+        if T::ENABLED {
+            tracer.set_gauge(names::chaos::ENERGY_COST, report.cost);
+            tracer.set_gauge(names::chaos::ENERGY_ADJUSTED_COST, report.adjusted_cost());
+            tracer.set_gauge(names::chaos::ENERGY_OFFLINE_COST, offline_cost);
         }
         report.placement = placement;
         report.ledgers = ledgers;
@@ -476,7 +451,7 @@ impl ChaosEngine {
 
     /// Evicts every live piece of server `s` at instant `t`.
     #[allow(clippy::too_many_arguments)]
-    fn evict<S: EventSink, T: Tracer>(
+    fn evict<T: Tracer>(
         s: usize,
         t: TimeUnit,
         problem: &AllocationProblem,
@@ -484,8 +459,6 @@ impl ChaosEngine {
         resident: &mut [Vec<Piece>],
         queue: &mut Vec<QueueEntry>,
         report: &mut ChaosReport,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) {
         let _evict_span = tracer.span("chaos.evict");
@@ -521,10 +494,10 @@ impl ChaosEngine {
                 displaced_at: t,
                 from: Some(ServerId(s as u32)),
             });
-            if S::ENABLED {
-                metrics.add(names::chaos::DISPLACED_VMS, 1);
-                metrics.add(names::chaos::DISPLACED_VM_MINUTES, tail_len);
-                sink.emit(&Event {
+            if T::ENABLED {
+                tracer.add(names::chaos::DISPLACED_VMS, 1);
+                tracer.add(names::chaos::DISPLACED_VM_MINUTES, tail_len);
+                tracer.event(&Event {
                     name: "chaos.evict",
                     fields: &[
                         ("vm", FieldValue::U64(piece.vm as u64)),
@@ -559,7 +532,7 @@ impl ChaosEngine {
     /// MIEC-style lowest-incremental-cost scoring over the up servers,
     /// exponential backoff on failure, shed/refuse on exhaustion.
     #[allow(clippy::too_many_arguments)]
-    fn attempt<S: EventSink, T: Tracer>(
+    fn attempt<T: Tracer>(
         &self,
         mut entry: QueueEntry,
         t: TimeUnit,
@@ -571,18 +544,16 @@ impl ChaosEngine {
         queue: &mut Vec<QueueEntry>,
         agenda: &mut BTreeSet<TimeUnit>,
         report: &mut ChaosReport,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) {
         let _attempt_span = tracer.span("chaos.attempt");
         if t > entry.end {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, tracer);
             return;
         }
         let demand = problem.vms()[entry.vm].demand();
         let Some(interval) = Interval::checked_new(t, entry.end) else {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, tracer);
             return;
         };
         // Eq. 7 over every up server in ascending id: the cheapest
@@ -625,10 +596,10 @@ impl ChaosEngine {
             if entry.from.is_none() && record.latency() == 0 {
                 report.redirected_admissions += 1;
             }
-            if S::ENABLED {
-                metrics.observe(names::chaos::REPAIR_LATENCY, record.latency() as f64);
-                metrics.add(names::chaos::REPAIRS, 1);
-                sink.emit(&Event {
+            if T::ENABLED {
+                tracer.observe(names::chaos::REPAIR_LATENCY, record.latency() as f64);
+                tracer.add(names::chaos::REPAIRS, 1);
+                tracer.event(&Event {
                     name: "chaos.repair",
                     fields: &[
                         ("vm", FieldValue::U64(entry.vm as u64)),
@@ -644,12 +615,12 @@ impl ChaosEngine {
         }
         entry.attempts += 1;
         if entry.attempts > self.policy.max_retries {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, tracer);
             return;
         }
         let next_try = t.saturating_add(self.policy.delay_for(entry.attempts));
         if next_try > entry.end {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, tracer);
             return;
         }
         entry.next_try = next_try;
@@ -660,14 +631,7 @@ impl ChaosEngine {
     /// Records a queue entry that ran out of retries or time: shed if
     /// it had already run a prefix somewhere, refused if it was never
     /// admitted at all.
-    fn drop_entry<S: EventSink, T: Tracer>(
-        &self,
-        entry: &QueueEntry,
-        report: &mut ChaosReport,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-        tracer: &T,
-    ) {
+    fn drop_entry<T: Tracer>(&self, entry: &QueueEntry, report: &mut ChaosReport, tracer: &T) {
         let vm = VmId(entry.vm as u32);
         if entry.from.is_some() {
             report.shed.push(vm);
@@ -687,15 +651,15 @@ impl ChaosEngine {
                 ..ExplainRecord::new(kind, entry.vm as u64)
             });
         }
-        if S::ENABLED {
+        if T::ENABLED {
             let name = if entry.from.is_some() {
-                metrics.add(names::chaos::SHED, 1);
+                tracer.add(names::chaos::SHED, 1);
                 "chaos.shed"
             } else {
-                metrics.add(names::chaos::REFUSED_ADMISSIONS, 1);
+                tracer.add(names::chaos::REFUSED_ADMISSIONS, 1);
                 "chaos.refused"
             };
-            sink.emit(&Event {
+            tracer.event(&Event {
                 name,
                 fields: &[
                     ("vm", FieldValue::U64(entry.vm as u64)),
@@ -708,12 +672,12 @@ impl ChaosEngine {
     /// Final pass: charge one forced Eq. 7 transition for each resolved
     /// outage that fell inside a gap the ledger prices as kept-on idle
     /// (see the module docs for why this is exact).
-    fn charge_recovery_transitions(
+    fn charge_recovery_transitions<T: Tracer>(
         &self,
         ledgers: &[ServerLedger],
         resolved: &[(usize, TimeUnit, TimeUnit)],
         report: &mut ChaosReport,
-        metrics: &MetricsRegistry,
+        tracer: &T,
     ) {
         for &(s, c, r) in resolved {
             let ledger = &ledgers[s];
@@ -744,10 +708,12 @@ impl ChaosEngine {
             report.fault_transition_energy +=
                 spec.transition_cost() - spec.idle_cost(u64::from(r - c));
         }
-        metrics.add(names::chaos::EXTRA_TRANSITIONS, report.extra_transitions);
-        metrics.set_gauge(
-            names::chaos::FAULT_TRANSITION_ENERGY,
-            report.fault_transition_energy,
-        );
+        if T::ENABLED {
+            tracer.add(names::chaos::EXTRA_TRANSITIONS, report.extra_transitions);
+            tracer.set_gauge(
+                names::chaos::FAULT_TRANSITION_ENERGY,
+                report.fault_transition_energy,
+            );
+        }
     }
 }

@@ -19,10 +19,7 @@
 
 use crate::classes::spec_classes;
 use crate::{AllocError, AllocResult, Allocator};
-use esvm_obs::{
-    DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
-    NoopTracer, Tracer,
-};
+use esvm_obs::{DecisionKind, Event, ExplainRecord, FieldValue, NoopTracer, Tracer};
 use esvm_simcore::energy::full_cost;
 use esvm_simcore::{
     AllocationProblem, Assignment, ServerId, ServerLedger, ServerSpec, Vm, VmId,
@@ -276,56 +273,36 @@ impl LocalSearch {
     /// [`AllocError::Placement`] if the input is incomplete, or if the
     /// final placement fails re-validation (would indicate a bug).
     pub fn refine<'p>(&self, base: &Assignment<'p>) -> AllocResult<Assignment<'p>> {
-        self.refine_traced(base).map(|(refined, _)| refined)
+        self.refine_traced(base, &NoopTracer).map(|(refined, _)| refined)
     }
 
     /// [`LocalSearch::refine`], additionally returning every accepted
     /// move in acceptance order — the trace the property tests and the
-    /// `local_search` bench replay against the reference oracle.
-    pub fn refine_traced<'p>(
-        &self,
-        base: &Assignment<'p>,
-    ) -> AllocResult<(Assignment<'p>, Vec<SearchMove>)> {
-        self.refine_observed(base, &mut NoopSink, &MetricsRegistry::new())
-    }
-
-    /// [`LocalSearch::refine_traced`] with observability: every accepted
-    /// move is emitted as a `local_search.relocate` / `local_search.swap`
-    /// event, and the scan tallies (moves considered / accepted /
-    /// rejected, spec-class pruned targets, influence-region fast-path
-    /// hits vs checkpointed probe rollbacks) land in `metrics`. With the
-    /// default [`NoopSink`] the instrumentation compiles away and this
+    /// `local_search` bench replay against the reference oracle — and
+    /// reporting to `tracer`:
+    ///
+    /// * spans: the whole refinement runs under a `local_search.refine`
+    ///   span with one `local_search.round` child per improvement round;
+    /// * explain records: every accepted move emits a
+    ///   [`DecisionKind::Relocate`] / [`DecisionKind::Swap`] record
+    ///   (winner, source server, delta, and — for relocates —
+    ///   candidates scanned and pruned-by-class counts);
+    /// * events: one `local_search.relocate` / `local_search.swap` per
+    ///   accepted move;
+    /// * metrics: the scan tallies (moves considered / accepted /
+    ///   rejected, spec-class pruned targets, influence-region
+    ///   fast-path hits vs checkpointed probe rollbacks) and the
+    ///   `local_search.accepted_delta` histogram.
+    ///
+    /// With [`NoopTracer`] the instrumentation compiles away and this
     /// *is* the uninstrumented search.
     ///
     /// # Errors
     ///
     /// Same as [`LocalSearch::refine`].
-    pub fn refine_observed<'p, S: EventSink>(
+    pub fn refine_traced<'p, T: Tracer>(
         &self,
         base: &Assignment<'p>,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> AllocResult<(Assignment<'p>, Vec<SearchMove>)> {
-        self.refine_instrumented(base, sink, metrics, &NoopTracer)
-    }
-
-    /// [`LocalSearch::refine_observed`] with decision provenance: the
-    /// whole refinement runs under a `local_search.refine` span with one
-    /// `local_search.round` child per improvement round, and every
-    /// accepted move emits a [`DecisionKind::Relocate`] /
-    /// [`DecisionKind::Swap`] explain record (winner, source server,
-    /// delta, and — for relocates — candidates scanned and pruned-by-
-    /// class counts). With [`NoopTracer`] this *is*
-    /// [`LocalSearch::refine_observed`], instruction for instruction.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalSearch::refine`].
-    pub fn refine_instrumented<'p, S: EventSink, T: Tracer>(
-        &self,
-        base: &Assignment<'p>,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<(Assignment<'p>, Vec<SearchMove>)> {
         let problem = base.problem();
@@ -354,7 +331,7 @@ impl LocalSearch {
         // Target visit order; stays the identity unless ordered_targets.
         let mut order: Vec<usize> = (0..hosts.len()).collect();
         let mut moves: Vec<SearchMove> = Vec::new();
-        // Hot-loop tallies; flushed to `metrics` once after the search.
+        // Hot-loop tallies; flushed to the probe once after the search.
         let mut rounds = 0u64;
         let mut relocates_considered = 0u64;
         let mut relocates_accepted = 0u64;
@@ -367,7 +344,7 @@ impl LocalSearch {
         for _ in 0..self.max_rounds {
             let mut improved = false;
             let _round_span = tracer.span("local_search.round");
-            if S::ENABLED {
+            if T::ENABLED {
                 rounds += 1;
             }
 
@@ -377,8 +354,8 @@ impl LocalSearch {
             for j in 0..problem.vm_count() {
                 let vm = problem.vms()[j];
                 let src = location[j];
-                // Per-VM scan tallies feed the explain record; the run
-                // totals (flushed once below) stay sink-gated.
+                // Per-VM scan tallies feed the explain record and the
+                // run totals flushed once below.
                 let mut vm_considered = 0u64;
                 let mut vm_pruned = 0u64;
                 // Score the departure once per VM: pure arithmetic on the
@@ -404,7 +381,7 @@ impl LocalSearch {
                         if class_seen[class] == scan {
                             // A cheaper-or-equal asleep twin of the same
                             // spec class was already scored this scan.
-                            if S::ENABLED || T::ENABLED {
+                            if T::ENABLED {
                                 vm_pruned += 1;
                             }
                             continue;
@@ -419,7 +396,7 @@ impl LocalSearch {
                     } else {
                         removal_gain + hosts[i].ledger.incremental_cost(&vm)
                     };
-                    if S::ENABLED || T::ENABLED {
+                    if T::ENABLED {
                         vm_considered += 1;
                     }
                     if delta < -1e-9 {
@@ -433,10 +410,10 @@ impl LocalSearch {
                             delta,
                         });
                         improved = true;
-                        if S::ENABLED {
+                        if T::ENABLED {
                             relocates_accepted += 1;
-                            metrics.observe("local_search.accepted_delta", -delta);
-                            sink.emit(&Event {
+                            tracer.observe("local_search.accepted_delta", -delta);
+                            tracer.event(&Event {
                                 name: "local_search.relocate",
                                 fields: &[
                                     ("vm", FieldValue::U64(vm.id().index() as u64)),
@@ -445,8 +422,6 @@ impl LocalSearch {
                                     ("delta", FieldValue::F64(delta)),
                                 ],
                             });
-                        }
-                        if T::ENABLED {
                             tracer.explain(&ExplainRecord {
                                 candidates: vm_considered,
                                 pruned: vm_pruned,
@@ -463,7 +438,7 @@ impl LocalSearch {
                         break;
                     }
                 }
-                if S::ENABLED {
+                if T::ENABLED {
                     relocates_considered += vm_considered;
                     pruned_targets += vm_pruned;
                 }
@@ -498,7 +473,7 @@ impl LocalSearch {
                             }
                             let (da, fast_a) = swap_side_delta(ha, &va, &vb);
                             let (db, fast_b) = swap_side_delta(hb, &vb, &va);
-                            if S::ENABLED {
+                            if T::ENABLED {
                                 for fast in [fast_a, fast_b] {
                                     if fast {
                                         fastpath_hits += 1;
@@ -509,7 +484,7 @@ impl LocalSearch {
                             }
                             da + db
                         };
-                        if S::ENABLED {
+                        if T::ENABLED {
                             swaps_considered += 1;
                         }
                         if delta < -1e-9 {
@@ -527,10 +502,10 @@ impl LocalSearch {
                                 delta,
                             });
                             improved = true;
-                            if S::ENABLED {
+                            if T::ENABLED {
                                 swaps_accepted += 1;
-                                metrics.observe("local_search.accepted_delta", -delta);
-                                sink.emit(&Event {
+                                tracer.observe("local_search.accepted_delta", -delta);
+                                tracer.event(&Event {
                                     name: "local_search.swap",
                                     fields: &[
                                         ("a", FieldValue::U64(va.id().index() as u64)),
@@ -540,8 +515,6 @@ impl LocalSearch {
                                         ("delta", FieldValue::F64(delta)),
                                     ],
                                 });
-                            }
-                            if T::ENABLED {
                                 // `vm` is the a-side VM; `winner` is its
                                 // new server, `from` its old one; the
                                 // partner rides in `attempt`.
@@ -567,20 +540,20 @@ impl LocalSearch {
             }
         }
 
-        if S::ENABLED {
-            metrics.add("local_search.rounds", rounds);
-            metrics.add("local_search.relocates_considered", relocates_considered);
-            metrics.add("local_search.relocates_accepted", relocates_accepted);
-            metrics.add(
+        if T::ENABLED {
+            tracer.add("local_search.rounds", rounds);
+            tracer.add("local_search.relocates_considered", relocates_considered);
+            tracer.add("local_search.relocates_accepted", relocates_accepted);
+            tracer.add(
                 "local_search.relocates_rejected",
                 relocates_considered - relocates_accepted,
             );
-            metrics.add("local_search.swaps_considered", swaps_considered);
-            metrics.add("local_search.swaps_accepted", swaps_accepted);
-            metrics.add("local_search.swaps_rejected", swaps_considered - swaps_accepted);
-            metrics.add("local_search.spec_class_pruned", pruned_targets);
-            metrics.add("local_search.swap_fastpath_hits", fastpath_hits);
-            metrics.add("local_search.swap_probe_rollbacks", probe_rollbacks);
+            tracer.add("local_search.swaps_considered", swaps_considered);
+            tracer.add("local_search.swaps_accepted", swaps_accepted);
+            tracer.add("local_search.swaps_rejected", swaps_considered - swaps_accepted);
+            tracer.add("local_search.spec_class_pruned", pruned_targets);
+            tracer.add("local_search.swap_fastpath_hits", fastpath_hits);
+            tracer.add("local_search.swap_probe_rollbacks", probe_rollbacks);
         }
 
         let placement: Vec<Option<ServerId>> = location.into_iter().map(Some).collect();
@@ -727,11 +700,10 @@ mod tests {
         let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
         let plain = LocalSearch::new().refine(&base).unwrap();
 
-        let mut sink = esvm_obs::MemorySink::default();
-        let metrics = MetricsRegistry::new();
-        let (observed, moves) = LocalSearch::new()
-            .refine_observed(&base, &mut sink, &metrics)
-            .unwrap();
+        let sink = esvm_obs::JsonlWriter::new(Vec::new());
+        let metrics = esvm_obs::MetricsRegistry::new();
+        let probe = esvm_obs::Telemetry { metrics: &metrics, events: Some(&sink), tracer: None };
+        let (observed, moves) = LocalSearch::new().refine_traced(&base, &probe).unwrap();
 
         // Instrumentation must not change any decision.
         assert_eq!(observed.placement(), plain.placement());
@@ -749,8 +721,9 @@ mod tests {
         assert_eq!(h.count, moves.len() as u64);
         assert!(h.min > 0.0, "accepted improvements are recorded as positive gains");
         // One event line per accepted move.
-        assert_eq!(sink.lines.len(), moves.len());
-        assert!(sink.lines.iter().all(|l| {
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert_eq!(text.lines().count(), moves.len());
+        assert!(text.lines().all(|l| {
             l.starts_with("{\"event\":\"local_search.relocate\"")
                 || l.starts_with("{\"event\":\"local_search.swap\"")
         }));
@@ -761,17 +734,10 @@ mod tests {
         let p = problem();
         let mut rng = StdRng::seed_from_u64(0);
         let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-        let (plain, plain_moves) = LocalSearch::new().refine_traced(&base).unwrap();
+        let (plain, plain_moves) = LocalSearch::new().refine_traced(&base, &NoopTracer).unwrap();
 
         let tracer = esvm_obs::CollectingTracer::new();
-        let (traced, moves) = LocalSearch::new()
-            .refine_instrumented(
-                &base,
-                &mut NoopSink,
-                &MetricsRegistry::new(),
-                &tracer,
-            )
-            .unwrap();
+        let (traced, moves) = LocalSearch::new().refine_traced(&base, &tracer).unwrap();
         assert_eq!(traced.placement(), plain.placement());
         assert_eq!(traced.total_cost().to_bits(), plain.total_cost().to_bits());
         assert_eq!(moves, plain_moves);
@@ -860,8 +826,9 @@ mod tests {
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);
             let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-            let (fast, fast_moves) = LocalSearch::new().refine_traced(&base).unwrap();
-            let (slow, slow_moves) = LocalSearch::reference().refine_traced(&base).unwrap();
+            let (fast, fast_moves) = LocalSearch::new().refine_traced(&base, &NoopTracer).unwrap();
+            let (slow, slow_moves) =
+                LocalSearch::reference().refine_traced(&base, &NoopTracer).unwrap();
             assert_eq!(
                 fast_moves, slow_moves,
                 "seed {seed}: trajectories diverged (would need tie certification)"
@@ -889,7 +856,7 @@ mod tests {
         let p = problem();
         let mut rng = StdRng::seed_from_u64(6);
         let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-        let (refined, moves) = LocalSearch::new().refine_traced(&base).unwrap();
+        let (refined, moves) = LocalSearch::new().refine_traced(&base, &NoopTracer).unwrap();
         assert!(!moves.is_empty(), "round-robin start should leave work");
         let mut placement: Vec<Option<ServerId>> = base.placement().to_vec();
         for m in &moves {

@@ -2,8 +2,8 @@
 
 use crate::{AllocError, AllocResult, Allocator, Argmin, CandidateIndex};
 use esvm_obs::{
-    DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
-    NoopTracer, Tracer,
+    DecisionKind, DiscardSink, Event, ExplainRecord, FieldValue, MetricsRegistry, NoopTracer,
+    Tracer,
 };
 use esvm_simcore::{AllocationProblem, Assignment, ServerId, ServerLedger};
 use rand::RngCore;
@@ -141,16 +141,13 @@ impl Miec {
     /// The shared placement loop. In admission mode an unplaceable VM is
     /// rejected and the run continues; otherwise it aborts.
     ///
-    /// Generic over the event sink and tracer: with the default
-    /// [`NoopSink`] / [`NoopTracer`] (`ENABLED == false`) every
-    /// instrumentation block is a compile-time-dead branch and the
-    /// monomorphised loop is the uninstrumented code.
-    fn run<'p, S: EventSink, T: Tracer>(
+    /// Generic over the probe: with [`NoopTracer`] (`ENABLED == false`)
+    /// every instrumentation block is a compile-time-dead branch and
+    /// the monomorphised loop is the uninstrumented code.
+    fn run<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
         admit: bool,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
         let _run_span = tracer.span("miec.run");
@@ -160,7 +157,7 @@ impl Miec {
         let prepare_span = tracer.span("miec.prepare");
         let mut assignment = Assignment::new(problem);
         let mut rejected = Vec::new();
-        // Hot-loop tallies stay in registers; flushed to `metrics` once
+        // Hot-loop tallies stay in registers; flushed to the probe once
         // after the placement loop.
         let mut candidates_total = 0u64;
         let mut pruned_total = 0u64;
@@ -217,7 +214,7 @@ impl Miec {
                 Some(index) => index.argmin(score),
                 None => Argmin::over(0..problem.server_count() as u32, 0, score),
             };
-            if S::ENABLED {
+            if T::ENABLED {
                 candidates_total += pick.candidates;
                 pruned_total += pick.pruned;
                 unfit_total += pick.unfit;
@@ -232,9 +229,9 @@ impl Miec {
                     if let Some(ledgers) = shadow.as_mut() {
                         ledgers[sid.index()].host(vm);
                     }
-                    if S::ENABLED {
-                        metrics.observe("miec.placement_delta", delta);
-                        sink.emit(&Event {
+                    if T::ENABLED {
+                        tracer.observe("miec.placement_delta", delta);
+                        tracer.event(&Event {
                             name: "miec.place",
                             fields: &[
                                 ("vm", FieldValue::U64(vm.id().index() as u64)),
@@ -244,8 +241,6 @@ impl Miec {
                                 ("pruned", FieldValue::U64(pick.pruned)),
                             ],
                         });
-                    }
-                    if T::ENABLED {
                         tracer.explain(&ExplainRecord {
                             candidates: pick.candidates,
                             pruned: pick.pruned,
@@ -262,13 +257,11 @@ impl Miec {
                     }
                 }
                 None if admit => {
-                    if S::ENABLED {
-                        sink.emit(&Event {
+                    if T::ENABLED {
+                        tracer.event(&Event {
                             name: "miec.reject",
                             fields: &[("vm", FieldValue::U64(vm.id().index() as u64))],
                         });
-                    }
-                    if T::ENABLED {
                         tracer.explain(&ExplainRecord {
                             candidates: pick.candidates,
                             pruned: pick.pruned,
@@ -285,53 +278,52 @@ impl Miec {
                 None => return Err(AllocError::NoFeasibleServer(vm.id())),
             }
         }
-        if S::ENABLED {
+        if T::ENABLED {
             let placed = problem.vm_count() as u64 - rejected.len() as u64;
-            metrics.add("miec.vms_placed", placed);
-            metrics.add("miec.vms_rejected", rejected.len() as u64);
-            metrics.add("miec.candidates_considered", candidates_total);
-            metrics.add("miec.spec_class_pruned", pruned_total);
-            metrics.add("miec.unfit_skipped", unfit_total);
-            metrics.add("miec.fp_ties", fp_ties_total);
+            tracer.add("miec.vms_placed", placed);
+            tracer.add("miec.vms_rejected", rejected.len() as u64);
+            tracer.add("miec.candidates_considered", candidates_total);
+            tracer.add("miec.spec_class_pruned", pruned_total);
+            tracer.add("miec.unfit_skipped", unfit_total);
+            tracer.add("miec.fp_ties", fp_ties_total);
         }
         Ok((assignment, rejected))
     }
 
-    /// Observed variant of [`Allocator::allocate`]: identical placement
-    /// decisions, with a `miec.place` event per VM emitted to `sink` and
-    /// the scan tallies (candidates considered, spec-class pruned, exact
-    /// FP ties, unfit skips) accumulated into `metrics`.
+    /// Instrumented [`Allocator::allocate`]: identical placement
+    /// decisions, with everything reported to `tracer`. A `miec.run`
+    /// span wraps the placement loop and every per-VM argmin runs
+    /// inside a `miec.decision` span. Each VM yields a `miec.place`
+    /// event and one [`ExplainRecord`] whose `(winner, delta_cost)`
+    /// bit-match the placement. The scan tallies (`miec.*` counters for
+    /// candidates considered, spec-class pruned, unfit skips and exact
+    /// FP ties, plus the `miec.placement_delta` histogram) go to the
+    /// probe's metrics. With [`NoopTracer`] this *is* the plain run.
     ///
     /// # Errors
     ///
     /// Same as [`Allocator::allocate`].
-    pub fn allocate_observed<'p, S: EventSink>(
+    pub fn allocate_traced<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> AllocResult<Assignment<'p>> {
-        self.run(problem, false, sink, metrics, &NoopTracer).map(|(a, _)| a)
-    }
-
-    /// [`Miec::allocate_observed`] with decision provenance: a
-    /// `miec.run` span wraps the placement loop, every per-VM argmin
-    /// runs inside a `miec.decision` span, and one [`ExplainRecord`]
-    /// per VM lands in `tracer` whose `(winner, delta_cost)` bit-match
-    /// the placement.
-    /// With [`NoopTracer`] this *is* `allocate_observed`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Allocator::allocate`].
-    pub fn allocate_traced<'p, S: EventSink, T: Tracer>(
-        &self,
-        problem: &'p AllocationProblem,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
-        self.run(problem, false, sink, metrics, tracer).map(|(a, _)| a)
+        self.run(problem, false, tracer).map(|(a, _)| a)
+    }
+
+    /// [`Miec::allocate_traced`] with `metrics` as the probe, under the
+    /// signature older callers use; the sink argument records nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Allocator::allocate`].
+    pub fn allocate_observed<'p>(
+        &self,
+        problem: &'p AllocationProblem,
+        _sink: &mut DiscardSink,
+        metrics: &MetricsRegistry,
+    ) -> AllocResult<Assignment<'p>> {
+        self.allocate_traced(problem, metrics)
     }
 
     /// Allocation with admission control: unplaceable VMs are rejected
@@ -347,7 +339,7 @@ impl Miec {
         &self,
         problem: &'p AllocationProblem,
     ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
-        self.run(problem, true, &mut NoopSink, &MetricsRegistry::new(), &NoopTracer)
+        self.run(problem, true, &NoopTracer)
     }
 }
 
@@ -371,8 +363,7 @@ impl Allocator for Miec {
         problem: &'p AllocationProblem,
         _rng: &mut dyn RngCore,
     ) -> AllocResult<Assignment<'p>> {
-        self.run(problem, false, &mut NoopSink, &MetricsRegistry::new(), &NoopTracer)
-            .map(|(a, _)| a)
+        self.allocate_traced(problem, &NoopTracer)
     }
 }
 
@@ -580,7 +571,7 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run_and_reports_scan_counts() {
-        use esvm_obs::MemorySink;
+        use esvm_obs::{JsonlWriter, Telemetry};
         let mut b = ProblemBuilder::new();
         for _ in 0..3 {
             b = b.server(Resources::new(8.0, 16.0), PowerModel::new(100.0, 200.0), 50.0);
@@ -593,9 +584,10 @@ mod tests {
             .build()
             .unwrap();
         let plain = Miec::new().allocate(&p, &mut rng()).unwrap();
-        let mut sink = MemorySink::new();
+        let sink = JsonlWriter::new(Vec::new());
         let metrics = esvm_obs::MetricsRegistry::new();
-        let observed = Miec::new().allocate_observed(&p, &mut sink, &metrics).unwrap();
+        let probe = Telemetry { metrics: &metrics, events: Some(&sink), tracer: None };
+        let observed = Miec::new().allocate_traced(&p, &probe).unwrap();
         assert_eq!(plain.placement(), observed.placement());
         assert_eq!(metrics.counter("miec.vms_placed"), 3);
         assert_eq!(metrics.counter("miec.vms_rejected"), 0);
@@ -605,8 +597,9 @@ mod tests {
         assert!(metrics.counter("miec.spec_class_pruned") >= 2);
         assert_eq!(metrics.histogram("miec.placement_delta").unwrap().count, 3);
         // One miec.place event per VM, in placement order.
-        assert_eq!(sink.lines.len(), 3);
-        assert!(sink.lines.iter().all(|l| l.contains("\"event\":\"miec.place\"")));
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.lines().all(|l| l.contains("\"event\":\"miec.place\"")));
     }
 
     #[test]
@@ -658,9 +651,7 @@ mod tests {
             .build()
             .unwrap();
         let metrics = esvm_obs::MetricsRegistry::new();
-        Miec::new()
-            .allocate_observed(&p, &mut esvm_obs::MemorySink::new(), &metrics)
-            .unwrap();
+        Miec::new().allocate_traced(&p, &metrics).unwrap();
         // VM 0 scores the one class representative (3 twins pruned);
         // VMs 1 and 2 score awake server 0 and representative 1.
         assert_eq!(metrics.counter("miec.candidates_considered"), 5);
@@ -673,7 +664,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_plain_and_explains_every_placement() {
-        use esvm_obs::{CollectingTracer, DecisionKind, NoopSink};
+        use esvm_obs::{CollectingTracer, DecisionKind};
         let mut b = ProblemBuilder::new();
         for i in 0..6 {
             b = b.server(
@@ -692,10 +683,7 @@ mod tests {
             .unwrap();
         let plain = Miec::new().allocate(&p, &mut rng()).unwrap();
         let tracer = CollectingTracer::new();
-        let metrics = esvm_obs::MetricsRegistry::new();
-        let traced = Miec::new()
-            .allocate_traced(&p, &mut NoopSink, &metrics, &tracer)
-            .unwrap();
+        let traced = Miec::new().allocate_traced(&p, &tracer).unwrap();
         assert_eq!(plain.placement(), traced.placement());
         assert_eq!(plain.total_cost().to_bits(), traced.total_cost().to_bits());
         // One explain record per VM, whose (winner, delta) bit-match
@@ -732,7 +720,7 @@ mod tests {
         let full = CollectingTracer::new();
         Miec::new()
             .without_pruning()
-            .allocate_traced(&p, &mut NoopSink, &metrics, &full)
+            .allocate_traced(&p, &full)
             .unwrap();
         let key = |t: &CollectingTracer| {
             t.explains()

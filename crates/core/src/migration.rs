@@ -25,7 +25,7 @@
 //! the fast path is tested against.
 
 use crate::{AllocError, AllocResult};
-use esvm_obs::{Event, EventSink, FieldValue, MetricsRegistry, NoopSink};
+use esvm_obs::{Event, FieldValue, NoopTracer, Tracer};
 use esvm_simcore::energy::segment_cost;
 use esvm_simcore::{
     Assignment, Interval, LedgerCheckpoint, Resources, Schedule, SegmentSet, ServerId,
@@ -193,31 +193,30 @@ impl Consolidator {
     /// [`AllocError::Placement`] if the base assignment is incomplete
     /// (the pass needs full knowledge of every VM's placement).
     pub fn consolidate<'p>(&self, base: &Assignment<'p>) -> AllocResult<Schedule<'p>> {
-        self.consolidate_observed(base, &mut NoopSink, &MetricsRegistry::new())
+        self.consolidate_traced(base, &NoopTracer)
     }
 
     /// [`Consolidator::consolidate`] with telemetry: eviction decisions
-    /// are counted into `metrics` (`consolidator.*` counters and the
-    /// `consolidator.eviction_net_gain` histogram) and every committed
-    /// eviction emits a `consolidator.evict` event into `sink`.
+    /// are counted into the probe's metrics (`consolidator.*` counters
+    /// and the `consolidator.eviction_net_gain` histogram) and every
+    /// committed eviction emits a `consolidator.evict` event.
     ///
-    /// With [`esvm_obs::NoopSink`] this monomorphizes to exactly the
+    /// With [`NoopTracer`] this monomorphizes to exactly the
     /// uninstrumented pass. The reference oracle path is never
     /// instrumented (it exists only for equivalence testing).
     ///
     /// # Errors
     ///
     /// Same contract as [`Consolidator::consolidate`].
-    pub fn consolidate_observed<'p, S: EventSink>(
+    pub fn consolidate_traced<'p, T: Tracer>(
         &self,
         base: &Assignment<'p>,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
+        tracer: &T,
     ) -> AllocResult<Schedule<'p>> {
         if self.reference {
             self.consolidate_reference(base)
         } else {
-            self.consolidate_fast(base, sink, metrics)
+            self.consolidate_fast(base, tracer)
         }
     }
 
@@ -232,11 +231,10 @@ impl Consolidator {
     /// Delta-scored evaluation on [`ServerLedger`]s: savings realized by
     /// transient `unhost_piece`, targets scored by pure insertion
     /// deltas, rejected evictions rolled back via checkpoints.
-    fn consolidate_fast<'p, S: EventSink>(
+    fn consolidate_fast<'p, T: Tracer>(
         &self,
         base: &Assignment<'p>,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
+        tracer: &T,
     ) -> AllocResult<Schedule<'p>> {
         let problem = base.problem();
         if let Some(vm) = base.unplaced().next() {
@@ -267,7 +265,7 @@ impl Consolidator {
         let mut migrations = 0u64;
 
         for &t in &Self::departures(problem) {
-            if S::ENABLED {
+            if T::ENABLED {
                 departure_events += 1;
             }
             for source in 0..problem.server_count() {
@@ -275,7 +273,7 @@ impl Consolidator {
                 if tails.is_empty() {
                     continue;
                 }
-                if S::ENABLED {
+                if T::ENABLED {
                     evictions_proposed += 1;
                 }
 
@@ -321,7 +319,7 @@ impl Consolidator {
                 }
 
                 if !feasible || saving - relocation_cost <= self.min_gain {
-                    if S::ENABLED {
+                    if T::ENABLED {
                         evictions_rolled_back += 1;
                     }
                     // Roll back: targets first, then re-host the tails on
@@ -343,11 +341,11 @@ impl Consolidator {
 
                 // Commit: the ledgers already reflect the eviction;
                 // mirror it on the schedule.
-                if S::ENABLED {
+                if T::ENABLED {
                     evictions_committed += 1;
                     migrations += moves.len() as u64;
-                    metrics.observe("consolidator.eviction_net_gain", saving - relocation_cost);
-                    sink.emit(&Event {
+                    tracer.observe("consolidator.eviction_net_gain", saving - relocation_cost);
+                    tracer.event(&Event {
                         name: "consolidator.evict",
                         fields: &[
                             ("t", FieldValue::U64(u64::from(t))),
@@ -370,12 +368,12 @@ impl Consolidator {
             }
         }
 
-        if S::ENABLED {
-            metrics.add("consolidator.departure_events", departure_events);
-            metrics.add("consolidator.evictions_proposed", evictions_proposed);
-            metrics.add("consolidator.evictions_committed", evictions_committed);
-            metrics.add("consolidator.evictions_rolled_back", evictions_rolled_back);
-            metrics.add("consolidator.migrations", migrations);
+        if T::ENABLED {
+            tracer.add("consolidator.departure_events", departure_events);
+            tracer.add("consolidator.evictions_proposed", evictions_proposed);
+            tracer.add("consolidator.evictions_committed", evictions_committed);
+            tracer.add("consolidator.evictions_rolled_back", evictions_rolled_back);
+            tracer.add("consolidator.migrations", migrations);
         }
         Ok(schedule)
     }
@@ -612,11 +610,10 @@ mod tests {
         let base = Ffps::new().allocate(&problem, &mut rng).unwrap();
         let plain = Consolidator::new(2.0).consolidate(&base).unwrap();
 
-        let mut sink = esvm_obs::MemorySink::default();
-        let metrics = MetricsRegistry::new();
-        let observed = Consolidator::new(2.0)
-            .consolidate_observed(&base, &mut sink, &metrics)
-            .unwrap();
+        let sink = esvm_obs::JsonlWriter::new(Vec::new());
+        let metrics = esvm_obs::MetricsRegistry::new();
+        let probe = esvm_obs::Telemetry { metrics: &metrics, events: Some(&sink), tracer: None };
+        let observed = Consolidator::new(2.0).consolidate_traced(&base, &probe).unwrap();
 
         // Instrumentation must not change any decision.
         for j in 0..problem.vm_count() {
@@ -638,10 +635,10 @@ mod tests {
         assert_eq!(gains.count, committed);
         assert!(gains.min > 0.0, "committed evictions always clear min_gain");
         // One event line per committed eviction.
-        assert_eq!(sink.lines.len(), committed as usize);
-        assert!(sink
-            .lines
-            .iter()
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert_eq!(text.lines().count(), committed as usize);
+        assert!(text
+            .lines()
             .all(|l| l.starts_with("{\"event\":\"consolidator.evict\"")));
     }
 

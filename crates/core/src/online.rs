@@ -42,7 +42,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 
-use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
+use esvm_obs::{DecisionKind, ExplainRecord, NoopTracer, Tracer};
 use esvm_simcore::{
     departure_time, AllocationProblem, Assignment, Interval, ServerId, ServerLedger, ServerSpec,
     TimeUnit, Vm, VmEvent, VmId,
@@ -556,11 +556,11 @@ impl OnlineGreedy {
     /// Instrumented run: replays the problem's canonical arrival order
     /// through an [`OnlineEngine`], then re-audits the decisions as a
     /// full-horizon [`Assignment`] (see the module docs on cost
-    /// accounting).
+    /// accounting). The engine's tallies go to `tracer` as `online.*`
+    /// metrics.
     pub fn allocate_traced<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
         let _run_span = tracer.span("online.run");
@@ -577,11 +577,13 @@ impl OnlineGreedy {
                 Err(e) => unreachable!("arrival-sorted feed violated online preconditions: {e}"),
             }
         }
-        let stats = engine.stats();
-        metrics.add("online.arrivals", stats.arrivals);
-        metrics.add("online.vms_placed", stats.placed);
-        metrics.add("online.departures", stats.departed);
-        metrics.set_gauge("online.live_peak", stats.live_peak as f64);
+        if T::ENABLED {
+            let stats = engine.stats();
+            tracer.add("online.arrivals", stats.arrivals);
+            tracer.add("online.vms_placed", stats.placed);
+            tracer.add("online.departures", stats.departed);
+            tracer.set_gauge("online.live_peak", stats.live_peak as f64);
+        }
         let placement = engine.placement(problem.vm_count());
         Ok(Assignment::from_placement(problem, &placement)?)
     }
@@ -597,7 +599,7 @@ impl Allocator for OnlineGreedy {
         problem: &'p AllocationProblem,
         _rng: &mut dyn RngCore,
     ) -> AllocResult<Assignment<'p>> {
-        self.allocate_traced(problem, &MetricsRegistry::new(), &NoopTracer)
+        self.allocate_traced(problem, &NoopTracer)
     }
 }
 

@@ -4,7 +4,7 @@ use crate::{
     AllocResult, Allocator, BestFit, Ffps, FirstFit, LocalSearch, LowestIdlePower, Miec,
     OnlineGreedy, Random, Refined, RoundRobin,
 };
-use esvm_obs::{EventSink, MetricsRegistry, NoopTracer, Tracer};
+use esvm_obs::Tracer;
 use esvm_simcore::{AllocationProblem, Assignment};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -120,70 +120,46 @@ impl AllocatorKind {
         }
     }
 
-    /// Builds and runs the allocator with telemetry: instrumented kinds
-    /// (the MIEC family and the local-search wrappers) record decision
-    /// counters and histograms into `metrics` and stream per-decision
-    /// events into `sink`; the simple baselines run uninstrumented and
-    /// record nothing. Placements are identical to
-    /// [`AllocatorKind::build`] + [`Allocator::allocate`] with the same
-    /// `rng`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Allocator::allocate`].
-    pub fn allocate_observed<'p, S: EventSink>(
-        &self,
-        problem: &'p AllocationProblem,
-        rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> AllocResult<Assignment<'p>> {
-        self.allocate_traced(problem, rng, sink, metrics, &NoopTracer)
-    }
-
-    /// [`AllocatorKind::allocate_observed`] with decision
-    /// provenance: the instrumented kinds additionally record
-    /// hierarchical spans, per-placement explain records and per-span
-    /// latency histograms into `tracer`. The simple baselines run
-    /// uninstrumented (no spans, no explains). With [`NoopTracer`] this
-    /// *is* [`AllocatorKind::allocate_observed`] — the differential
+    /// Builds and runs the allocator with telemetry: the instrumented
+    /// kinds (the MIEC family, the local-search wrappers and the online
+    /// greedy) report decision counters, histograms, per-decision
+    /// events, hierarchical spans and explain records to `tracer`; the
+    /// simple baselines run uninstrumented and report nothing.
+    /// Placements are identical to [`AllocatorKind::build`] +
+    /// [`Allocator::allocate`] with the same `rng` — the differential
     /// tracing suite pins placements and costs bit-identical across all
     /// kinds.
     ///
     /// # Errors
     ///
     /// Same contract as [`Allocator::allocate`].
-    pub fn allocate_traced<'p, S: EventSink, T: Tracer>(
+    pub fn allocate_traced<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
         rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
         match self {
-            AllocatorKind::Miec => Miec::new().allocate_traced(problem, sink, metrics, tracer),
+            AllocatorKind::Miec => Miec::new().allocate_traced(problem, tracer),
             AllocatorKind::MiecNoAlpha => {
-                Miec::ignoring_transition_costs().allocate_traced(problem, sink, metrics, tracer)
+                Miec::ignoring_transition_costs().allocate_traced(problem, tracer)
             }
             AllocatorKind::MiecBlindDuration => {
-                Miec::with_assumed_duration(5).allocate_traced(problem, sink, metrics, tracer)
+                Miec::with_assumed_duration(5).allocate_traced(problem, tracer)
             }
             AllocatorKind::MiecLocalSearch => {
-                let base = Miec::new().allocate_traced(problem, sink, metrics, tracer)?;
+                let base = Miec::new().allocate_traced(problem, tracer)?;
                 LocalSearch::new()
-                    .refine_instrumented(&base, sink, metrics, tracer)
+                    .refine_traced(&base, tracer)
                     .map(|(refined, _)| refined)
             }
             AllocatorKind::FfpsLocalSearch => {
                 let base = Ffps::new().allocate(problem, rng)?;
                 LocalSearch::new()
-                    .refine_instrumented(&base, sink, metrics, tracer)
+                    .refine_traced(&base, tracer)
                     .map(|(refined, _)| refined)
             }
-            AllocatorKind::OnlineGreedy => {
-                OnlineGreedy::new().allocate_traced(problem, metrics, tracer)
-            }
+            AllocatorKind::OnlineGreedy => OnlineGreedy::new().allocate_traced(problem, tracer),
             _ => self.build().allocate(problem, rng),
         }
     }
@@ -278,12 +254,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             let plain = kind.build().allocate(&p, &mut rng).unwrap();
 
-            let mut sink = esvm_obs::MemorySink::new();
-            let metrics = MetricsRegistry::new();
+            let events = esvm_obs::JsonlWriter::new(Vec::new());
+            let metrics = esvm_obs::MetricsRegistry::new();
+            let probe =
+                esvm_obs::Telemetry { metrics: &metrics, events: Some(&events), tracer: None };
             let mut rng = StdRng::seed_from_u64(9);
-            let observed = kind
-                .allocate_observed(&p, &mut rng, &mut sink, &metrics)
-                .unwrap();
+            let observed = kind.allocate_traced(&p, &mut rng, &probe).unwrap();
             assert_eq!(observed.placement(), plain.placement(), "{kind}");
             assert_eq!(
                 observed.total_cost().to_bits(),

@@ -4,6 +4,7 @@ use esvm_core::{
     AllocError, Allocator, AllocatorKind, Consolidator, Ffps, LocalSearch, Miec, RoundRobin,
     SearchMove,
 };
+use esvm_obs::NoopTracer;
 use esvm_simcore::energy::full_cost;
 use esvm_simcore::{
     AllocationProblem, Assignment, Interval, PowerModel, Resources, ServerLedger, ServerSpec, Vm,
@@ -411,7 +412,7 @@ proptest! {
         else {
             return Ok(());
         };
-        let (refined, moves) = LocalSearch::new().refine_traced(&base).unwrap();
+        let (refined, moves) = LocalSearch::new().refine_traced(&base, &NoopTracer).unwrap();
         let mut hosts = host_lists(&problem, &base);
         let mut total = base.total_cost();
         for m in &moves {
@@ -447,8 +448,9 @@ proptest! {
         else {
             return Ok(());
         };
-        let (fast, fast_moves) = LocalSearch::new().refine_traced(&base).unwrap();
-        let (slow, slow_moves) = LocalSearch::reference().refine_traced(&base).unwrap();
+        let (fast, fast_moves) = LocalSearch::new().refine_traced(&base, &NoopTracer).unwrap();
+        let (slow, slow_moves) =
+            LocalSearch::reference().refine_traced(&base, &NoopTracer).unwrap();
         let prefix = fast_moves
             .iter()
             .zip(&slow_moves)

@@ -171,7 +171,9 @@ options (gap):
                     of the paper workload model
   (--vms/--servers and the workload flags shape the instances)
 
-options (telemetry, compare/solve/chaos/serve):
+options (telemetry; compare, solve and chaos take all three, serve
+         takes --metrics-out/--trace-out, chaos --live takes
+         --metrics-out; any other use is a usage error):
   --metrics-out F   run one instrumented pass per algorithm and write
                     its decision metrics as CSV (histogram rows carry
                     exact p50/p95/p99; a summary table is also
@@ -466,6 +468,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Usage(e.to_string()));
     }
     let flags = parse_flags(rest)?;
+    reject_unwritten_telemetry_flags(command, &flags)?;
     let opts = options_from(&flags, env_threads);
 
     let output = dispatch(command, &flags, &opts)?;
@@ -478,6 +481,28 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         _ => Ok(output),
     }
+}
+
+/// Fails when a telemetry flag is passed to a command (or mode) that
+/// would not write its file, instead of exiting 0 with nothing written.
+fn reject_unwritten_telemetry_flags(command: &str, flags: &Flags) -> Result<(), CliError> {
+    const ALL: [&str; 3] = ["--metrics-out", "--events-out", "--trace-out"];
+    let (mode, honoured): (&str, &[&str]) = match command {
+        "compare" | "solve" => (command, &ALL),
+        "chaos" if flags.live => ("chaos --live", &["--metrics-out"]),
+        "chaos" => (command, &ALL),
+        "serve" => (command, &["--metrics-out", "--trace-out"]),
+        _ => (command, &[]),
+    };
+    let given = [&flags.metrics_out, &flags.events_out, &flags.trace_out];
+    for (flag, value) in ALL.into_iter().zip(given) {
+        if value.is_some() && !honoured.contains(&flag) {
+            return Err(CliError::Usage(format!(
+                "`esvm {mode}` does not write {flag}; see the telemetry options\n\n{USAGE}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn dispatch(command: &str, flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
@@ -605,34 +630,90 @@ fn preflight_out_path(path: &str, force: bool) -> Result<(), CliError> {
     }
 }
 
+/// The `--events-out` and `--trace-out` destinations of one
+/// instrumented command, opened once and shared by every algorithm's
+/// run.
+struct TelemetryFiles {
+    events: Option<(String, esvm_obs::JsonlWriter<std::io::BufWriter<std::fs::File>>)>,
+    trace: Option<(String, esvm_obs::CollectingTracer)>,
+}
+
+impl TelemetryFiles {
+    /// Creates the events file (when `--events-out` is set) and the
+    /// in-memory trace (when `--trace-out` is set).
+    fn open(flags: &Flags) -> Result<Self, CliError> {
+        let events = match &flags.events_out {
+            Some(path) => {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
+                let writer = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
+                Some((path.clone(), writer))
+            }
+            None => None,
+        };
+        let trace = flags
+            .trace_out
+            .clone()
+            .map(|path| (path, esvm_obs::CollectingTracer::new()));
+        Ok(Self { events, trace })
+    }
+
+    /// The probe of one run: metrics into `metrics`, events and spans
+    /// into whichever files are open.
+    fn probe<'a>(&'a self, metrics: &'a esvm_obs::MetricsRegistry) -> esvm_obs::Telemetry<'a> {
+        esvm_obs::Telemetry {
+            metrics,
+            events: self
+                .events
+                .as_ref()
+                .map(|(_, w)| w as &esvm_obs::JsonlWriter<dyn std::io::Write>),
+            tracer: self.trace.as_ref().map(|(_, t)| t),
+        }
+    }
+
+    /// Flushes the events file and writes the trace; returns the trace
+    /// note for the command's output.
+    fn finish(self) -> Result<String, CliError> {
+        if let Some((path, writer)) = self.events {
+            writer
+                .finish()
+                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
+        }
+        match self.trace {
+            Some((path, tracer)) => write_trace_output(&path, &tracer),
+            None => Ok(String::new()),
+        }
+    }
+}
+
 /// One instrumented run per algorithm on `problem`: decision metrics
-/// become rows of `table`, per-decision events stream into `sink`,
-/// provenance spans and explain records land in `tracer` (each
-/// algorithm's run nested under a span named after it), and the audited
-/// energy decomposition is exported as `energy.*` gauges.
-fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
+/// become rows of `table`, per-decision events and provenance spans and
+/// explain records go to `files` (each algorithm's run nested under a
+/// span named after it), and the audited energy decomposition is
+/// exported as `energy.*` gauges.
+fn telemetry_rows(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    sink: &mut S,
-    tracer: &T,
+    files: &TelemetryFiles,
     table: &mut Table,
 ) -> Result<(), CliError> {
-    use esvm_obs::{Event, FieldValue, MetricsRegistry};
+    use esvm_obs::{Event, FieldValue, MetricsRegistry, Tracer};
     use rand::SeedableRng;
     for &algo in algos {
-        sink.emit(&Event {
+        let metrics = MetricsRegistry::new();
+        let probe = files.probe(&metrics);
+        probe.event(&Event {
             name: "run.start",
             fields: &[
                 ("algo", FieldValue::Str(algo.name())),
                 ("seed", FieldValue::U64(seed)),
             ],
         });
-        let _algo_span = tracer.span(algo.name());
-        let metrics = MetricsRegistry::new();
+        let _algo_span = probe.span(algo.name());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let assignment = algo
-            .allocate_traced(problem, &mut rng, sink, &metrics, tracer)
+            .allocate_traced(problem, &mut rng, &probe)
             .map_err(|error| RunError::Alloc { algo, seed, error })?;
         let report = assignment.audit().map_err(RunError::Audit)?;
         metrics.set_gauge("energy.run", report.breakdown.run);
@@ -646,32 +727,6 @@ fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
                 value.kind().to_owned(),
                 value.render(),
             ]);
-        }
-    }
-    Ok(())
-}
-
-/// Routes `telemetry_rows` through the `--events-out` sink choice with
-/// a caller-chosen tracer.
-fn telemetry_capture<T: esvm_obs::Tracer>(
-    problem: &esvm_simcore::AllocationProblem,
-    algos: &[AllocatorKind],
-    seed: u64,
-    events_out: Option<&str>,
-    tracer: &T,
-    table: &mut Table,
-) -> Result<(), CliError> {
-    match events_out {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-            let mut sink = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
-            telemetry_rows(problem, algos, seed, &mut sink, tracer, &mut *table)?;
-            sink.finish()
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        }
-        None => {
-            telemetry_rows(problem, algos, seed, &mut esvm_obs::DiscardSink, tracer, table)?;
         }
     }
     Ok(())
@@ -735,19 +790,9 @@ fn telemetry_section(
         preflight_out_path(path, flags.force)?;
     }
     let mut table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
-    let events_out = flags.events_out.as_deref();
-    let trace_note = match &flags.trace_out {
-        Some(path) => {
-            let tracer = esvm_obs::CollectingTracer::new();
-            telemetry_capture(problem, algos, seed, events_out, &tracer, &mut table)?;
-            write_trace_output(path, &tracer)?
-        }
-        None => {
-            let tracer = esvm_obs::NoopTracer;
-            telemetry_capture(problem, algos, seed, events_out, &tracer, &mut table)?;
-            String::new()
-        }
-    };
+    let files = TelemetryFiles::open(flags)?;
+    telemetry_rows(problem, algos, seed, &files, &mut table)?;
+    let trace_note = files.finish()?;
     let mut out = format!(
         "\n\ntelemetry — one instrumented run per algorithm (seed {seed})\n\n{table}"
     );
@@ -842,27 +887,26 @@ fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
 
 /// One instrumented chaos replay per algorithm: summary rows into
 /// `table`, the full robustness metric snapshot into `metric_table`,
-/// chaos events into `sink`, repair/shed provenance into `tracer`.
-#[allow(clippy::too_many_arguments)]
-fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
+/// chaos events and repair/shed provenance into `files`.
+fn chaos_rows(
     engine: &esvm_chaos::ChaosEngine,
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    sink: &mut S,
-    tracer: &T,
+    files: &TelemetryFiles,
     table: &mut Table,
     metric_table: &mut Table,
 ) -> Result<(), CliError> {
-    use esvm_obs::MetricsRegistry;
+    use esvm_obs::{MetricsRegistry, Tracer};
     use rand::SeedableRng;
     for &algo in algos {
-        let _algo_span = tracer.span(algo.name());
         let metrics = MetricsRegistry::new();
+        let probe = files.probe(&metrics);
+        let _algo_span = probe.span(algo.name());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let allocator = algo.build();
         let report = engine
-            .run_traced(problem, allocator.as_ref(), &mut rng, sink, &metrics, tracer)
+            .run_traced(problem, allocator.as_ref(), &mut rng, &probe)
             .map_err(|e| match e {
                 esvm_chaos::ChaosError::Offline(error) => {
                     CliError::Run(RunError::Alloc { algo, seed, error })
@@ -887,53 +931,6 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
                 value.kind().to_owned(),
                 value.render(),
             ]);
-        }
-    }
-    Ok(())
-}
-
-/// Routes `chaos_rows` through the `--events-out` sink choice with a
-/// caller-chosen tracer.
-#[allow(clippy::too_many_arguments)]
-fn chaos_capture<T: esvm_obs::Tracer>(
-    engine: &esvm_chaos::ChaosEngine,
-    problem: &esvm_simcore::AllocationProblem,
-    algos: &[AllocatorKind],
-    seed: u64,
-    events_out: Option<&str>,
-    tracer: &T,
-    table: &mut Table,
-    metric_table: &mut Table,
-) -> Result<(), CliError> {
-    match events_out {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-            let mut sink = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
-            chaos_rows(
-                engine,
-                problem,
-                algos,
-                seed,
-                &mut sink,
-                tracer,
-                table,
-                metric_table,
-            )?;
-            sink.finish()
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        }
-        None => {
-            chaos_rows(
-                engine,
-                problem,
-                algos,
-                seed,
-                &mut esvm_obs::DiscardSink,
-                tracer,
-                table,
-                metric_table,
-            )?;
         }
     }
     Ok(())
@@ -1029,35 +1026,9 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
         "extra transitions",
     ]);
     let mut metric_table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
-    let trace_note = match &flags.trace_out {
-        Some(path) => {
-            let tracer = esvm_obs::CollectingTracer::new();
-            chaos_capture(
-                &engine,
-                &problem,
-                &algos,
-                seed,
-                flags.events_out.as_deref(),
-                &tracer,
-                &mut table,
-                &mut metric_table,
-            )?;
-            write_trace_output(path, &tracer)?
-        }
-        None => {
-            chaos_capture(
-                &engine,
-                &problem,
-                &algos,
-                seed,
-                flags.events_out.as_deref(),
-                &esvm_obs::NoopTracer,
-                &mut table,
-                &mut metric_table,
-            )?;
-            String::new()
-        }
-    };
+    let files = TelemetryFiles::open(flags)?;
+    chaos_rows(&engine, &problem, &algos, seed, &files, &mut table, &mut metric_table)?;
+    let trace_note = files.finish()?;
 
     let plan_ref = engine.plan();
     let mut out = format!(
@@ -2252,6 +2223,41 @@ mod tests {
                 matches!(&err, CliError::Usage(msg) if msg.contains("does not exist")),
                 "{cmd:?}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn telemetry_flags_are_rejected_where_no_file_would_be_written() {
+        let dir = std::env::temp_dir().join("esvm_cli_unwritten_telemetry");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("never-written.out");
+        std::fs::remove_file(&path).ok();
+        let path_str = path.to_str().unwrap();
+        let live = ["chaos", "--live", "--vms", "50", "--servers", "10", "--fault-rate", "0.5"];
+        // (command line, refused flag, mode named in the message)
+        let cases: Vec<(Vec<&str>, &str, &str)> = vec![
+            (vec!["fig2", "--quick"], "--metrics-out", "esvm fig2"),
+            (vec!["gap", "--vms", "30", "--servers", "6"], "--metrics-out", "esvm gap"),
+            (vec!["serve", "--trace", "tr.txt"], "--events-out", "esvm serve"),
+            (live.to_vec(), "--trace-out", "esvm chaos --live"),
+            (live.to_vec(), "--events-out", "esvm chaos --live"),
+            (vec!["table1"], "--trace-out", "esvm table1"),
+            (vec!["all", "--quick"], "--events-out", "esvm all"),
+            (vec!["timeline", "--vms", "10"], "--metrics-out", "esvm timeline"),
+            (vec!["exact"], "--trace-out", "esvm exact"),
+            (vec!["gen", "--vms", "10"], "--events-out", "esvm gen"),
+            (vec!["plan", "--vms", "10"], "--metrics-out", "esvm plan"),
+            (vec!["ext-migration", "--quick"], "--trace-out", "esvm ext-migration"),
+        ];
+        for (mut cmd, flag, mode) in cases {
+            cmd.extend([flag, path_str]);
+            let err = run(&args(&cmd)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg)
+                    if msg.contains(&format!("`{mode}`")) && msg.contains(flag)),
+                "{cmd:?}: {err}"
+            );
+            assert!(!path.exists(), "{cmd:?} wrote {path_str}");
         }
     }
 

@@ -202,35 +202,6 @@ pub fn run_once(
     assignment.audit().map_err(RunError::Audit)
 }
 
-/// [`run_once`] with telemetry: decision counters and histograms land
-/// in `metrics`, per-decision events in `sink`, and the audited energy
-/// decomposition is exported as `energy.run` / `energy.idle` /
-/// `energy.transition` / `energy.total` gauges. Placements (and hence
-/// the audit) are identical to [`run_once`] for the same arguments.
-///
-/// # Errors
-///
-/// Same contract as [`run_once`].
-pub fn run_once_observed<S: esvm_obs::EventSink>(
-    config: &WorkloadConfig,
-    algo: AllocatorKind,
-    seed: u64,
-    sink: &mut S,
-    metrics: &esvm_obs::MetricsRegistry,
-) -> Result<AuditReport, RunError> {
-    let problem = config.generate(seed)?;
-    let mut rng = algo_rng(seed, 0, algo);
-    let assignment = algo
-        .allocate_observed(&problem, &mut rng, sink, metrics)
-        .map_err(|error| RunError::Alloc { algo, seed, error })?;
-    let report = assignment.audit().map_err(RunError::Audit)?;
-    metrics.set_gauge("energy.run", report.breakdown.run);
-    metrics.set_gauge("energy.idle", report.breakdown.idle);
-    metrics.set_gauge("energy.transition", report.breakdown.transition);
-    metrics.set_gauge("energy.total", report.total_cost);
-    Ok(report)
-}
-
 /// Derives the per-algorithm RNG for a run, mixing the seed, the
 /// algorithm's position and its name so streams are independent.
 fn algo_rng(seed: u64, index: usize, algo: AllocatorKind) -> StdRng {
@@ -468,24 +439,6 @@ mod tests {
         let report = run_once(&config(), AllocatorKind::Miec, 3).unwrap();
         assert!(report.total_cost > 0.0);
         assert!(report.breakdown.run > 0.0);
-    }
-
-    #[test]
-    fn run_once_observed_matches_run_once_and_exports_gauges() {
-        let plain = run_once(&config(), AllocatorKind::Miec, 3).unwrap();
-        let metrics = esvm_obs::MetricsRegistry::new();
-        let observed = run_once_observed(
-            &config(),
-            AllocatorKind::Miec,
-            3,
-            &mut esvm_obs::DiscardSink,
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(observed.total_cost.to_bits(), plain.total_cost.to_bits());
-        assert_eq!(metrics.gauge("energy.total"), Some(plain.total_cost));
-        assert_eq!(metrics.gauge("energy.run"), Some(plain.breakdown.run));
-        assert!(metrics.counter("miec.vms_placed") > 0);
     }
 
     #[test]

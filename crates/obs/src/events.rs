@@ -1,12 +1,15 @@
-//! Structured decision events and the sinks that receive them.
+//! Structured decision events and the JSON Lines writer that streams
+//! them.
 //!
 //! An [`Event`] is a name plus a flat list of typed, named fields, all
-//! borrowed — constructing one allocates nothing. Algorithms emit
-//! events through a generic `S: EventSink` parameter and guard each
-//! emission with `if S::ENABLED { ... }`; with [`NoopSink`] the guard
-//! is a compile-time `false` and the whole block is removed by
-//! monomorphisation.
+//! borrowed — constructing one allocates nothing. Algorithms hand events
+//! to their probe through [`Tracer::event`](crate::Tracer::event) inside
+//! an `if T::ENABLED { ... }` block; with [`NoopTracer`](crate::NoopTracer)
+//! the guard is a compile-time `false` and the whole block is removed by
+//! monomorphisation. [`Telemetry`](crate::Telemetry) forwards events to
+//! a [`JsonlWriter`] (`--events-out`).
 
+use std::cell::RefCell;
 use std::io::{self, Write};
 
 /// A single typed field value carried by an [`Event`].
@@ -35,110 +38,66 @@ pub struct Event<'a> {
     pub fields: &'a [(&'a str, FieldValue<'a>)],
 }
 
-/// Destination for structured decision events.
-///
-/// Implementations with `ENABLED = true` receive every event; the
-/// [`NoopSink`] sets `ENABLED = false`, and instrumented call sites
-/// guard both event construction and metric updates behind this
-/// constant so the disabled instantiation compiles to the
-/// uninstrumented code.
-pub trait EventSink {
-    /// Whether this sink (and the metrics attached to the same
-    /// instrumented call) records anything at all.
-    const ENABLED: bool = true;
-
-    /// Records one event.
-    fn emit(&mut self, event: &Event<'_>);
-}
-
-/// The allocation-free default sink: statically disabled, never called.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn emit(&mut self, _event: &Event<'_>) {}
-}
-
-/// An enabled sink that drops every event. Instrumentation (counters,
-/// histograms) still runs — use this when metrics are wanted but an
-/// event trace is not.
+/// The event-sink argument of
+/// `esvm_core::Miec::allocate_observed`, kept so callers of that
+/// signature still compile. It records nothing: the metrics registry
+/// passed beside it is the probe.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DiscardSink;
-
-impl EventSink for DiscardSink {
-    #[inline(always)]
-    fn emit(&mut self, _event: &Event<'_>) {}
-}
-
-/// Captures events as encoded JSON lines in memory. Intended for tests.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// One JSON object per emitted event, in emission order.
-    pub lines: Vec<String>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EventSink for MemorySink {
-    fn emit(&mut self, event: &Event<'_>) {
-        self.lines.push(encode_json(event));
-    }
-}
 
 /// Streams events as JSON Lines (one object per line) to any
 /// [`Write`] destination. Wrap files in a `BufWriter`; the writer
 /// itself does not buffer.
 ///
+/// [`JsonlWriter::emit`] takes `&self` (the writer sits in a
+/// `RefCell`), so a shared `&JsonlWriter` can ride inside a probe. A
+/// `&JsonlWriter<W>` coerces to `&JsonlWriter<dyn Write>`, which is
+/// what [`Telemetry`](crate::Telemetry) holds.
+///
 /// I/O errors are latched rather than panicking mid-algorithm: the
 /// first error stops further writes and is surfaced by
 /// [`JsonlWriter::finish`].
-#[derive(Debug)]
-pub struct JsonlWriter<W: Write> {
-    writer: W,
-    written: u64,
-    error: Option<io::Error>,
+pub struct JsonlWriter<W: Write + ?Sized> {
+    error: RefCell<Option<io::Error>>,
+    // Last, so the struct can unsize to `JsonlWriter<dyn Write>`.
+    writer: RefCell<W>,
 }
 
 impl<W: Write> JsonlWriter<W> {
     /// Wraps `writer`.
     pub fn new(writer: W) -> Self {
-        Self { writer, written: 0, error: None }
-    }
-
-    /// Number of events successfully written so far.
-    pub fn written(&self) -> u64 {
-        self.written
+        Self { error: RefCell::new(None), writer: RefCell::new(writer) }
     }
 
     /// Flushes and returns the underlying writer, or the first I/O
     /// error encountered while emitting.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
+    pub fn finish(self) -> io::Result<W> {
+        if let Some(e) = self.error.into_inner() {
             return Err(e);
         }
-        self.writer.flush()?;
-        Ok(self.writer)
+        let mut writer = self.writer.into_inner();
+        writer.flush()?;
+        Ok(writer)
     }
 }
 
-impl<W: Write> EventSink for JsonlWriter<W> {
-    fn emit(&mut self, event: &Event<'_>) {
-        if self.error.is_some() {
+impl<W: Write + ?Sized> std::fmt::Debug for JsonlWriter<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JsonlWriter").finish_non_exhaustive()
+    }
+}
+
+impl<W: Write + ?Sized> JsonlWriter<W> {
+    /// Writes `event` as one JSON line.
+    pub fn emit(&self, event: &Event<'_>) {
+        let mut error = self.error.borrow_mut();
+        if error.is_some() {
             return;
         }
         let mut line = encode_json(event);
         line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
-            Ok(()) => self.written += 1,
-            Err(e) => self.error = Some(e),
+        if let Err(e) = self.writer.borrow_mut().write_all(line.as_bytes()) {
+            *error = Some(e);
         }
     }
 }
@@ -234,10 +193,9 @@ mod tests {
 
     #[test]
     fn jsonl_writer_streams_one_line_per_event() {
-        let mut sink = JsonlWriter::new(Vec::new());
+        let sink = JsonlWriter::new(Vec::new());
         sink.emit(&sample(&[("n", FieldValue::U64(1))]));
         sink.emit(&sample(&[("n", FieldValue::U64(2))]));
-        assert_eq!(sink.written(), 2);
         let bytes = sink.finish().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -246,16 +204,33 @@ mod tests {
     }
 
     #[test]
-    fn noop_sink_is_statically_disabled() {
-        assert!(!<NoopSink as EventSink>::ENABLED);
-        assert!(<DiscardSink as EventSink>::ENABLED);
-        assert!(<MemorySink as EventSink>::ENABLED);
+    fn jsonl_writer_is_shared_behind_dyn_write() {
+        let sink = JsonlWriter::new(Vec::new());
+        let shared: &JsonlWriter<dyn Write> = &sink;
+        shared.emit(&sample(&[("x", FieldValue::Bool(false))]));
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert_eq!(text, "{\"event\":\"test.event\",\"x\":false}\n");
     }
 
     #[test]
-    fn memory_sink_captures_lines() {
-        let mut sink = MemorySink::new();
-        sink.emit(&sample(&[("x", FieldValue::Bool(false))]));
-        assert_eq!(sink.lines, vec![r#"{"event":"test.event","x":false}"#.to_owned()]);
+    fn jsonl_writer_latches_the_first_error() {
+        /// Fails every write, counting the attempts.
+        #[derive(Debug)]
+        struct Broken(std::rc::Rc<std::cell::Cell<u32>>);
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0.set(self.0.get() + 1);
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let attempts = std::rc::Rc::new(std::cell::Cell::new(0));
+        let sink = JsonlWriter::new(Broken(attempts.clone()));
+        sink.emit(&sample(&[("n", FieldValue::U64(1))]));
+        sink.emit(&sample(&[("n", FieldValue::U64(2))]));
+        assert_eq!(attempts.get(), 1, "writes stop after the first error");
+        assert_eq!(sink.finish().unwrap_err().to_string(), "disk full");
     }
 }

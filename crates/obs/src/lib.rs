@@ -3,36 +3,36 @@
 //! The paper's objective (Eq. 7) is a sum of three physically distinct
 //! terms — run, idle and transition energy — and the allocation layers
 //! (MIEC candidate scanning, local-search refinement, migration
-//! consolidation) make thousands of micro-decisions per run. This crate
-//! provides the two primitives the rest of the workspace uses to make
-//! both visible without perturbing the hot paths:
+//! consolidation, chaos repair) make thousands of micro-decisions per
+//! run. This crate makes them visible without perturbing the hot paths
+//! through one trait, [`Tracer`], and the destinations behind it:
 //!
 //! * a [`MetricsRegistry`] holding named counters, gauges and
-//!   log2-bucketed histograms (with p50/p95/p99 quantiles), plus RAII
-//!   [`SpanTimer`]s for wall-clock phases;
-//! * a structured [`EventSink`] trait for per-decision records, with a
-//!   [`JsonlWriter`] for machine-readable traces and an allocation-free
-//!   [`NoopSink`] default;
-//! * a [`Tracer`] trait for decision provenance — RAII hierarchical
-//!   spans ([`trace::SpanGuard`]), per-placement [`ExplainRecord`]s,
-//!   and per-span latency histograms, collected by
-//!   [`CollectingTracer`] and exportable as query-friendly JSON Lines
-//!   or Chrome `trace_event` JSON.
+//!   log2-bucketed histograms (with p50/p95/p99 quantiles) — on its own
+//!   it is the metrics-only probe;
+//! * structured [`Event`]s, streamed by a [`JsonlWriter`] as
+//!   machine-readable JSON Lines;
+//! * a [`CollectingTracer`] for decision provenance — RAII hierarchical
+//!   spans ([`trace::SpanGuard`]), per-placement [`ExplainRecord`]s and
+//!   per-span latency histograms, exportable as query-friendly JSON
+//!   Lines or Chrome `trace_event` JSON;
+//! * [`Telemetry`], the composite probe that sends metrics, events and
+//!   spans to whichever of the three it holds.
 //!
-//! Instrumented algorithms are generic over `S: EventSink` (and
-//! `T: Tracer`) and guard every counter increment and record
-//! construction behind the associated constants
-//! [`EventSink::ENABLED`] / [`Tracer::ENABLED`]. Monomorphisation then
-//! compiles the `NoopSink`/`NoopTracer` instantiation down to the
-//! uninstrumented code — the disabled path has literally zero
-//! observability instructions, which the `ledger` and `local_search`
-//! benches pin against the recorded PR 2 numbers.
+//! Each instrumented algorithm has one generic entry point taking a
+//! `&T` with `T: Tracer`, and guards every counter tally, event and
+//! explain-record construction behind the associated constant
+//! [`Tracer::ENABLED`]. Monomorphisation then compiles the
+//! [`NoopTracer`] instantiation down to the uninstrumented code — the
+//! disabled path has literally zero observability instructions, which
+//! the `allocators` and `local_search` benches pin.
 //!
 //! The crate is dependency-free (the workspace builds offline) and
-//! deliberately single-threaded: the registry uses interior mutability
-//! via `RefCell` so call sites can share it immutably, and is therefore
-//! not `Sync`. Experiment code instruments one representative seeded run
-//! per configuration rather than the multi-threaded Monte-Carlo sweep.
+//! deliberately single-threaded: the registry, the writer and the
+//! tracer use interior mutability via `RefCell` so call sites can share
+//! them immutably, and are therefore not `Sync`. Experiment code
+//! instruments one representative seeded run per configuration rather
+//! than the multi-threaded Monte-Carlo sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,11 +42,9 @@ pub mod metrics;
 pub mod names;
 pub mod trace;
 
-pub use events::{
-    encode_json, DiscardSink, Event, EventSink, FieldValue, JsonlWriter, MemorySink, NoopSink,
-};
-pub use metrics::{HistogramSummary, Log2Histogram, MetricValue, MetricsRegistry, SpanTimer};
+pub use events::{encode_json, DiscardSink, Event, FieldValue, JsonlWriter};
+pub use metrics::{HistogramSummary, Log2Histogram, MetricValue, MetricsRegistry};
 pub use trace::{
     CollectingTracer, DecisionKind, ExplainEntry, ExplainRecord, NoopTracer, SpanGuard, SpanId,
-    SpanRecord, Tracer,
+    SpanRecord, Telemetry, Tracer,
 };

@@ -1,15 +1,15 @@
 //! Metrics registry: named counters, gauges and log2-bucketed
-//! histograms with quantiles, plus RAII span timers.
+//! histograms with quantiles.
 //!
 //! The registry uses interior mutability (`RefCell`) so that a single
 //! shared `&MetricsRegistry` can be threaded through call layers
 //! without fighting the borrow checker; it is consequently not `Sync`
-//! and is meant for single-threaded instrumented runs.
+//! and is meant for single-threaded instrumented runs. It is also the
+//! metrics-only [`Tracer`](crate::Tracer) probe.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Sub-buckets per power of two: bucket edges grow by a factor of
 /// `2^(1/16) ≈ 1.044`, bounding the relative error of a reported
@@ -264,13 +264,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Starts an RAII span timer; its wall-clock duration in seconds is
-    /// recorded into the histogram `name` when the returned guard
-    /// drops.
-    pub fn span(&self, name: &str) -> SpanTimer<'_> {
-        SpanTimer { registry: self, name: name.to_owned(), start: Instant::now() }
-    }
-
     /// Current value of the counter `name` (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner.borrow().counters.get(name).copied().unwrap_or(0)
@@ -321,21 +314,6 @@ impl MetricsRegistry {
             let _ = writeln!(out, "{name:<width$}  {:<9}  {}", value.kind(), value.render());
         }
         out
-    }
-}
-
-/// RAII wall-clock timer handed out by [`MetricsRegistry::span`];
-/// records elapsed seconds into its histogram on drop.
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    registry: &'a MetricsRegistry,
-    name: String,
-    start: Instant,
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        self.registry.observe(&self.name, self.start.elapsed().as_secs_f64());
     }
 }
 
@@ -449,17 +427,6 @@ mod tests {
         for needle in ["n=4", "mean=2.5", "p50=", "p95=", "p99=", "min=1.0", "max=4.0"] {
             assert!(rendered.contains(needle), "{rendered}");
         }
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let m = MetricsRegistry::new();
-        {
-            let _t = m.span("phase.seconds");
-        }
-        let h = m.histogram("phase.seconds").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 0.0);
     }
 
     #[test]

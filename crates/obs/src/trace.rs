@@ -1,16 +1,14 @@
-//! Decision-provenance tracing: RAII hierarchical spans, per-placement
-//! explain records, and per-span latency histograms.
+//! Decision-provenance tracing and the one instrumentation trait.
 //!
 //! The paper's Eq. 7 argmin is opaque at runtime: the placement says
 //! *what* MIEC chose but not *why* — which candidates were scanned,
 //! what spec-class pruning discarded, what the decision cost in wall
-//! time. This module makes each decision
-//! self-describing without perturbing the hot paths, using the same
-//! zero-cost static dispatch as [`EventSink`](crate::EventSink):
-//! instrumented algorithms are generic over `T: Tracer`, guard every
-//! record construction behind the associated constant
-//! [`Tracer::ENABLED`], and monomorphisation compiles the
-//! [`NoopTracer`] instantiation down to the uninstrumented code.
+//! time. This module makes each decision self-describing without
+//! perturbing the hot paths: instrumented algorithms are generic over
+//! one probe `T: Tracer`, guard every record construction, event and
+//! metric update behind the associated constant [`Tracer::ENABLED`],
+//! and monomorphisation compiles the [`NoopTracer`] instantiation down
+//! to the uninstrumented code.
 //!
 //! Three primitives:
 //!
@@ -20,21 +18,29 @@
 //!   carrying monotonic timestamps and parent ids.
 //! * **Explain records** — one [`ExplainRecord`] per placement
 //!   decision: the VM, how many candidates were scanned, how many the
-//!   spec-class prune discarded, which shards were touched and
-//!   re-scored, the winning server, the incremental-cost delta, and
-//!   the floating-point-tie flag; under chaos, the repair/shed
-//!   attribution (attempt count, replay time, evicted-from server).
+//!   spec-class prune discarded, the winning server, the
+//!   incremental-cost delta, and the floating-point-tie flag; under
+//!   chaos, the repair/shed attribution (attempt count, replay time,
+//!   evicted-from server).
 //! * **Latency histograms** — every closed span's duration lands in a
 //!   per-name [`Log2Histogram`], so p50/p95/p99/max decision latency
 //!   is available without post-processing.
+//!
+//! The same trait carries the other two telemetry streams as provided
+//! no-op methods: structured [`Event`]s ([`Tracer::event`]) and metric
+//! updates ([`Tracer::add`], [`Tracer::observe`],
+//! [`Tracer::set_gauge`]). The probes are [`NoopTracer`] (off),
+//! [`CollectingTracer`] (spans and explains),
+//! [`MetricsRegistry`] (metrics only) and [`Telemetry`], which routes
+//! each stream to whichever of the three destinations it holds.
 //!
 //! The [`CollectingTracer`] buffers everything in memory and exports
 //! two formats: flat JSON Lines (queryable with `esvm query`, one
 //! object per span or explain record) and Chrome `trace_event` JSON,
 //! loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 
-use crate::events::push_json_string;
-use crate::metrics::{HistogramSummary, Log2Histogram};
+use crate::events::{push_json_string, Event, JsonlWriter};
+use crate::metrics::{HistogramSummary, Log2Histogram, MetricsRegistry};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -159,17 +165,20 @@ impl ExplainRecord {
     }
 }
 
-/// Destination for spans and explain records.
+/// The one instrumentation probe: spans, explain records, events and
+/// metrics.
 ///
-/// Mirrors [`EventSink`](crate::EventSink): implementations with
-/// `ENABLED = true` receive everything; [`NoopTracer`] sets
-/// `ENABLED = false`, and instrumented call sites guard explain-record
-/// construction behind this constant so the disabled instantiation
+/// Implementations with `ENABLED = true` receive everything;
+/// [`NoopTracer`] sets `ENABLED = false`, and instrumented call sites
+/// guard explain records, events, metric updates and the tallies that
+/// feed them behind this constant so the disabled instantiation
 /// compiles to the uninstrumented code. Span guards need no guard —
-/// the noop `enter`/`exit` pair is inlined away.
+/// the noop `enter`/`exit` pair is inlined away. Events and metric
+/// updates are provided no-ops, so a probe implements only the streams
+/// it records.
 ///
-/// Methods take `&self` (tracers use interior mutability) so a span
-/// guard borrowing the tracer does not block nested spans or explain
+/// Methods take `&self` (probes use interior mutability) so a span
+/// guard borrowing the probe does not block nested spans or explain
 /// records underneath it.
 pub trait Tracer {
     /// Whether this tracer records anything at all.
@@ -187,6 +196,18 @@ pub trait Tracer {
     /// Records one decision explanation, attached to the innermost
     /// open span.
     fn explain(&self, record: &ExplainRecord);
+
+    /// Records one structured decision event (`--events-out`).
+    fn event(&self, _event: &Event<'_>) {}
+
+    /// Adds `delta` to the counter `name`.
+    fn add(&self, _name: &str, _delta: u64) {}
+
+    /// Records `value` in the histogram `name`.
+    fn observe(&self, _name: &str, _value: f64) {}
+
+    /// Sets the gauge `name` to `value` (last write wins).
+    fn set_gauge(&self, _name: &str, _value: f64) {}
 
     /// Like [`Tracer::enter`], but the span's start may reuse the
     /// tracer's most recent clock stamp instead of reading the clock
@@ -256,6 +277,96 @@ impl Tracer for NoopTracer {
     fn explain(&self, _record: &ExplainRecord) {}
 }
 
+/// The metrics-only probe: counters, gauges and histograms land in the
+/// registry; spans, explain records and events are dropped.
+impl Tracer for MetricsRegistry {
+    #[inline(always)]
+    fn enter(&self, _name: &'static str) -> SpanId {
+        SpanId::NONE
+    }
+
+    #[inline(always)]
+    fn exit(&self, _id: SpanId) {}
+
+    #[inline(always)]
+    fn explain(&self, _record: &ExplainRecord) {}
+
+    fn add(&self, name: &str, delta: u64) {
+        MetricsRegistry::add(self, name, delta);
+    }
+
+    fn observe(&self, name: &str, value: f64) {
+        MetricsRegistry::observe(self, name, value);
+    }
+
+    fn set_gauge(&self, name: &str, value: f64) {
+        MetricsRegistry::set_gauge(self, name, value);
+    }
+}
+
+/// The composite probe behind the CLI's telemetry flags: metrics always
+/// go to `metrics`, events to `events` (`--events-out`) when present,
+/// and spans and explain records to `tracer` (`--trace-out`) when
+/// present.
+///
+/// It forwards [`Tracer::enter_following`], so a traced hot loop pays
+/// the same one clock read per decision as with the bare
+/// [`CollectingTracer`].
+#[derive(Debug, Clone, Copy)]
+pub struct Telemetry<'a> {
+    /// Destination of counters, gauges and histograms.
+    pub metrics: &'a MetricsRegistry,
+    /// Destination of structured events, if any.
+    pub events: Option<&'a JsonlWriter<dyn std::io::Write>>,
+    /// Destination of spans and explain records, if any.
+    pub tracer: Option<&'a CollectingTracer>,
+}
+
+impl Tracer for Telemetry<'_> {
+    #[inline]
+    fn enter(&self, name: &'static str) -> SpanId {
+        self.tracer.map_or(SpanId::NONE, |t| t.enter(name))
+    }
+
+    #[inline]
+    fn enter_following(&self, name: &'static str) -> SpanId {
+        self.tracer.map_or(SpanId::NONE, |t| t.enter_following(name))
+    }
+
+    #[inline]
+    fn exit(&self, id: SpanId) {
+        if let Some(t) = self.tracer {
+            t.exit(id);
+        }
+    }
+
+    #[inline]
+    fn explain(&self, record: &ExplainRecord) {
+        if let Some(t) = self.tracer {
+            t.explain(record);
+        }
+    }
+
+    #[inline]
+    fn event(&self, event: &Event<'_>) {
+        if let Some(w) = self.events {
+            w.emit(event);
+        }
+    }
+
+    fn add(&self, name: &str, delta: u64) {
+        self.metrics.add(name, delta);
+    }
+
+    fn observe(&self, name: &str, value: f64) {
+        self.metrics.observe(name, value);
+    }
+
+    fn set_gauge(&self, name: &str, value: f64) {
+        self.metrics.set_gauge(name, value);
+    }
+}
+
 /// One closed span: name, parent, and monotonic start/end nanoseconds
 /// measured from the tracer's construction instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,10 +426,8 @@ struct Collected {
 /// An enabled tracer that buffers spans and explain records in memory
 /// and tracks per-span-name duration histograms.
 ///
-/// Like [`MetricsRegistry`](crate::MetricsRegistry) it uses interior
-/// mutability and is not `Sync`: parallel engines trace from the
-/// conductor thread only (where commits are serialised anyway), which
-/// keeps the hot worker loops free of synchronisation.
+/// Like [`MetricsRegistry`] it uses interior mutability and is not
+/// `Sync`; every allocator runs on one thread.
 #[derive(Debug)]
 pub struct CollectingTracer {
     epoch: Instant,
@@ -606,6 +715,69 @@ mod tests {
         let g = t.span("x");
         assert!(g.id().is_none());
         t.explain(&ExplainRecord::new(DecisionKind::Place, 0));
+    }
+
+    #[test]
+    fn probes_declare_whether_they_record() {
+        assert!(!<NoopTracer as Tracer>::ENABLED);
+        assert!(<CollectingTracer as Tracer>::ENABLED);
+        assert!(<MetricsRegistry as Tracer>::ENABLED);
+        assert!(<Telemetry<'_> as Tracer>::ENABLED);
+    }
+
+    #[test]
+    fn metrics_registry_probe_records_metrics_only() {
+        let m = MetricsRegistry::new();
+        fn probe<T: Tracer>(t: &T) {
+            let _s = t.span("x");
+            t.add("c", 2);
+            t.observe("h", 1.5);
+            t.set_gauge("g", 3.0);
+            t.explain(&ExplainRecord::new(DecisionKind::Place, 0));
+        }
+        probe(&m);
+        assert_eq!(m.counter("c"), 2);
+        assert_eq!(m.histogram("h").unwrap().count, 1);
+        assert_eq!(m.gauge("g"), Some(3.0));
+        // The inherent methods still work beside the probe impl.
+        m.add("c", 1);
+        assert_eq!(m.counter("c"), 3);
+    }
+
+    #[test]
+    fn telemetry_routes_each_stream_to_its_destination() {
+        use crate::events::FieldValue;
+        let metrics = MetricsRegistry::new();
+        let events = JsonlWriter::new(Vec::new());
+        let tracer = CollectingTracer::new();
+        let probe = Telemetry { metrics: &metrics, events: Some(&events), tracer: Some(&tracer) };
+        {
+            let _run = probe.span("run");
+            {
+                let _d = probe.lap_span("decision");
+                probe.explain(&ExplainRecord::new(DecisionKind::Place, 4));
+            }
+            probe.event(&Event { name: "x.place", fields: &[("vm", FieldValue::U64(4))] });
+            probe.add("x.placed", 1);
+            probe.observe("x.delta", 2.0);
+            probe.set_gauge("x.total", 9.0);
+        }
+        assert_eq!(metrics.counter("x.placed"), 1);
+        assert_eq!(metrics.histogram("x.delta").unwrap().count, 1);
+        assert_eq!(metrics.gauge("x.total"), Some(9.0));
+        let spans = tracer.spans();
+        assert_eq!(spans.len(), 2);
+        // The lap span reuses the run span's start stamp.
+        assert_eq!(spans[0].start_ns, spans[1].start_ns);
+        assert_eq!(tracer.explains().len(), 1);
+        let text = String::from_utf8(events.finish().unwrap()).unwrap();
+        assert_eq!(text, "{\"event\":\"x.place\",\"vm\":4}\n");
+
+        // Without a tracer or an event writer only the metrics land.
+        let bare = Telemetry { metrics: &metrics, events: None, tracer: None };
+        assert!(bare.span("run").id().is_none());
+        bare.add("x.placed", 1);
+        assert_eq!(metrics.counter("x.placed"), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! server the placement vector actually names, and whose cost delta is
 //! bit-identical to the increment the run charged.
 
-use esvm::obs::{CollectingTracer, DecisionKind, DiscardSink, MetricsRegistry, NoopTracer};
+use esvm::obs::{CollectingTracer, DecisionKind, MetricsRegistry, NoopTracer, Telemetry};
 use esvm::{AllocatorKind, ChaosEngine, FaultPlan, FaultPlanConfig, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,6 +26,12 @@ fn rng_for(kind: AllocatorKind, seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ h)
 }
 
+/// The enabled probe: metrics into `metrics`, spans and explain records
+/// into `tracer`.
+fn probe<'a>(metrics: &'a MetricsRegistry, tracer: &'a CollectingTracer) -> Telemetry<'a> {
+    Telemetry { metrics, events: None, tracer: Some(tracer) }
+}
+
 /// Every kind × disabled and enabled tracers: the traced entry point is
 /// placement- and cost-bit-exact vs the plain one.
 #[test]
@@ -38,26 +44,13 @@ fn traced_runs_match_plain_for_every_kind() {
                 .build()
                 .allocate(&problem, &mut rng_for(kind, seed))
                 .expect("plain run");
-            let metrics = MetricsRegistry::new();
             let noop = kind
-                .allocate_traced(
-                    &problem,
-                    &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics,
-                    &NoopTracer,
-                )
+                .allocate_traced(&problem, &mut rng_for(kind, seed), &NoopTracer)
                 .expect("noop-traced run");
             let tracer = CollectingTracer::new();
-            let metrics2 = MetricsRegistry::new();
+            let metrics = MetricsRegistry::new();
             let collected = kind
-                .allocate_traced(
-                    &problem,
-                    &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics2,
-                    &tracer,
-                )
+                .allocate_traced(&problem, &mut rng_for(kind, seed), &probe(&metrics, &tracer))
                 .expect("collect-traced run");
             let ctx = format!("{} seed {seed}", kind.name());
             assert_eq!(plain.placement(), noop.placement(), "{ctx}: noop placement");
@@ -96,13 +89,7 @@ fn explain_records_name_the_placed_server_bit_for_bit() {
             let tracer = CollectingTracer::new();
             let metrics = MetricsRegistry::new();
             let assignment = kind
-                .allocate_traced(
-                    &problem,
-                    &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics,
-                    &tracer,
-                )
+                .allocate_traced(&problem, &mut rng_for(kind, seed), &probe(&metrics, &tracer))
                 .expect("traced run");
             let ctx = format!("{} seed {seed}", kind.name());
             let placement = assignment.placement();
@@ -156,9 +143,7 @@ fn chaos_replay_is_bit_exact_under_tracing_and_attributes_repairs() {
                     &problem,
                     &*allocator,
                     &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics,
-                    &tracer,
+                    &probe(&metrics, &tracer),
                 )
                 .expect("traced replay");
             let ctx = format!("{} seed {seed}", kind.name());
@@ -198,14 +183,8 @@ fn chrome_export_of_a_real_run_is_structurally_sound() {
     let tracer = CollectingTracer::new();
     let metrics = MetricsRegistry::new();
     let kind = AllocatorKind::MiecLocalSearch;
-    kind.allocate_traced(
-        &problem,
-        &mut rng_for(kind, 9),
-        &mut DiscardSink,
-        &metrics,
-        &tracer,
-    )
-    .expect("traced run");
+    kind.allocate_traced(&problem, &mut rng_for(kind, 9), &probe(&metrics, &tracer))
+        .expect("traced run");
     let spans = tracer.spans();
     assert!(!spans.is_empty());
     for s in &spans {
