@@ -70,24 +70,23 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// CSV rendering (no quoting — cells in this workspace are labels and
-    /// numbers; commas in cells are rejected).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cell contains a comma or newline.
+    /// CSV rendering (RFC 4180): a cell holding a comma, a double
+    /// quote or a line break is wrapped in double quotes, with inner
+    /// quotes doubled; every other cell is written as is.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         for row in std::iter::once(&self.header).chain(&self.rows) {
             for (i, cell) in row.iter().enumerate() {
-                assert!(
-                    !cell.contains(',') && !cell.contains('\n'),
-                    "cell {cell:?} needs quoting, which this emitter does not support"
-                );
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(cell);
+                if cell.contains([',', '"', '\n', '\r']) {
+                    out.push('"');
+                    out.push_str(&cell.replace('"', "\"\""));
+                    out.push('"');
+                } else {
+                    out.push_str(cell);
+                }
             }
             out.push('\n');
         }
@@ -180,11 +179,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quoting")]
-    fn csv_rejects_commas_in_cells() {
-        let mut t = Table::new(vec!["a"]);
-        t.row(vec!["x,y".into()]);
-        let _ = t.to_csv();
+    fn csv_quotes_cells_that_need_it() {
+        let mut t = Table::new(vec!["a", "b"]);
+        t.row(vec!["x,y".into(), "plain".into()]);
+        t.row(vec!["say \"hi\"".into(), "two\nlines".into()]);
+        assert_eq!(
+            t.to_csv(),
+            "a,b\n\"x,y\",plain\n\"say \"\"hi\"\"\",\"two\nlines\"\n"
+        );
     }
 
     #[test]
