@@ -103,7 +103,7 @@ commands:
                     Albers-Quedenfeld lower-bound traces)
 
 options (figures):
-  --seeds N         Monte-Carlo seeds per point (default 50)
+  --seeds N         Monte-Carlo seeds per point, N ≥ 1 (default 50)
   --threads N       worker threads fanning seeds out (default:
                     ESVM_THREADS when set, else all cores; 0 = all
                     cores; results are bit-identical for every value)
@@ -243,10 +243,14 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
         };
         match arg.as_str() {
             "--seeds" => {
+                // Zero seeds would leave nothing to average: every
+                // command needs at least one.
                 flags.seeds = Some(
                     value("--seeds")?
                         .parse()
-                        .map_err(|_| usage("--seeds must be an integer".into()))?,
+                        .ok()
+                        .filter(|&n: &u64| n > 0)
+                        .ok_or_else(|| usage("--seeds must be a positive integer".into()))?,
                 )
             }
             "--threads" => {
@@ -545,18 +549,9 @@ fn dispatch(command: &str, flags: &Flags, opts: &ExpOptions) -> Result<String, C
                 &experiments::table2(),
                 flags.csv,
             ));
-            for f in [
-                experiments::fig2,
-                experiments::fig3,
-                experiments::fig4,
-                experiments::fig5,
-                experiments::fig6,
-                experiments::fig7,
-                experiments::fig8,
-                experiments::fig9,
-            ] {
+            for figure in experiments::paper_figures(&experiments::Sweep::new(&opts))? {
                 out.push_str("\n\n");
-                out.push_str(&render_figure(&f(&opts)?, flags.csv));
+                out.push_str(&render_figure(&figure, flags.csv));
             }
             for (title, table) in [
                 (
@@ -1701,7 +1696,7 @@ fn run_serve(flags: &Flags) -> Result<String, CliError> {
 }
 
 fn run_gap(flags: &Flags) -> Result<String, CliError> {
-    let seeds = flags.seeds.unwrap_or(10).max(1);
+    let seeds = flags.seeds.unwrap_or(10);
     let base = flags.seed.unwrap_or(0);
     let vms = flags.vms.unwrap_or(100);
     let servers = flags.servers.unwrap_or_else(|| (vms / 2).max(1));
@@ -1812,6 +1807,29 @@ mod tests {
         ] {
             let err = run(&args(&bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn zero_seeds_is_a_usage_error_in_every_command() {
+        for command in [
+            "fig3",
+            "all",
+            "report",
+            "ext-migration",
+            "ext-overload",
+            "compare",
+            "plan",
+            "gap",
+        ] {
+            let err = run(&args(&[command, "--seeds", "0"])).unwrap_err();
+            match err {
+                CliError::Usage(msg) => assert!(
+                    msg.contains("--seeds must be a positive integer"),
+                    "{command}: {msg}"
+                ),
+                other => panic!("{command}: expected a usage error, got {other}"),
+            }
         }
     }
 

@@ -5,12 +5,10 @@
 //! inter-arrival time, reaching ~10 % at 10 min; the curves for
 //! 100–500 VMs coincide (scalability).
 
-use super::{executor, interarrival_sweep, pct, vm_count_sweep, COMPARED};
+use super::{interarrival_sweep, pct, point_config, vm_count_sweep, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
 use esvm_analysis::fit::FitKind;
-use esvm_core::AllocatorKind;
-use esvm_workload::WorkloadConfig;
 
 /// Reproduces Fig. 2: all VM types on all server types, transition time
 /// 1 min, mean VM length 5 min.
@@ -19,27 +17,26 @@ use esvm_workload::WorkloadConfig;
 ///
 /// Propagates the first [`RunError`] (overload or generation failure).
 pub fn fig2(opts: &ExpOptions) -> Result<Figure, RunError> {
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 2 on the points of `sweep`.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
+    let opts = sweep.opts();
     let mut figure = Figure::new(
         "Fig. 2",
         "energy reduction ratio of the allocation of all types of VMs on all types of servers",
         "mean inter-arrival time",
         "energy reduction ratio (%)",
     );
-    let exec = executor(opts);
 
     for vm_count in vm_count_sweep(opts) {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(5.0)
-                .transition_time(1.0);
-            let point = exec.compare(&config, &COMPARED)?;
+            let point = sweep.point(&point_config(vm_count, ia))?;
             xs.push(ia);
-            ys.push(pct(
-                point.reduction_ratio(AllocatorKind::Ffps, AllocatorKind::Miec),
-            ));
+            ys.push(pct(point.reduction));
         }
         figure.push(Series::with_fit(
             format!("{vm_count} VMs"),

@@ -5,11 +5,9 @@
 //! MIEC raises CPU utilization substantially and evens out the two
 //! resources; utilization decreases with growing inter-arrival time.
 
-use super::{executor, interarrival_sweep, pct, COMPARED};
+use super::{interarrival_sweep, pct, point_config, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
-use esvm_core::AllocatorKind;
-use esvm_workload::WorkloadConfig;
 
 /// Reproduces Fig. 3: utilization of servers with 100 VMs allocated.
 ///
@@ -17,14 +15,18 @@ use esvm_workload::WorkloadConfig;
 ///
 /// Propagates the first [`RunError`].
 pub fn fig3(opts: &ExpOptions) -> Result<Figure, RunError> {
-    let vm_count = opts.scale_vms(100);
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 3 on the points of `sweep`.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
+    let vm_count = sweep.opts().scale_vms(100);
     let mut figure = Figure::new(
         "Fig. 3",
         format!("average CPU and memory utilization of servers with {vm_count} VMs allocated"),
         "mean inter-arrival time",
         "resource utilization (%)",
     );
-    let exec = executor(opts);
 
     let mut xs = Vec::new();
     let mut cpu_miec = Vec::new();
@@ -32,16 +34,12 @@ pub fn fig3(opts: &ExpOptions) -> Result<Figure, RunError> {
     let mut cpu_ffps = Vec::new();
     let mut mem_ffps = Vec::new();
     for ia in interarrival_sweep() {
-        let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-            .mean_interarrival(ia)
-            .mean_duration(5.0)
-            .transition_time(1.0);
-        let point = exec.compare(&config, &COMPARED)?;
+        let point = sweep.point(&point_config(vm_count, ia))?;
         xs.push(ia);
-        cpu_miec.push(pct(point.mean_cpu_utilization(AllocatorKind::Miec)));
-        mem_miec.push(pct(point.mean_mem_utilization(AllocatorKind::Miec)));
-        cpu_ffps.push(pct(point.mean_cpu_utilization(AllocatorKind::Ffps)));
-        mem_ffps.push(pct(point.mean_mem_utilization(AllocatorKind::Ffps)));
+        cpu_miec.push(pct(point.miec_cpu));
+        mem_miec.push(pct(point.miec_mem));
+        cpu_ffps.push(pct(point.ffps_cpu));
+        mem_ffps.push(pct(point.ffps_mem));
     }
     figure.push(Series::plain("CPU utilization of MIEC", xs.clone(), cpu_miec));
     figure.push(Series::plain(

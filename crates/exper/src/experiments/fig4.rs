@@ -5,12 +5,10 @@
 //! utilization obtained with the FFPS method (Section IV-C). Shape: the
 //! reduction ratio decreases with load and the decrease flattens.
 
-use super::{executor, interarrival_sweep, pct, vm_count_sweep, COMPARED};
+use super::{interarrival_sweep, pct, point_config, vm_count_sweep, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
 use esvm_analysis::fit::FitKind;
-use esvm_core::AllocatorKind;
-use esvm_workload::WorkloadConfig;
 
 /// Reproduces Fig. 4: the Fig. 2 sweep re-plotted against memory load.
 ///
@@ -18,26 +16,25 @@ use esvm_workload::WorkloadConfig;
 ///
 /// Propagates the first [`RunError`].
 pub fn fig4(opts: &ExpOptions) -> Result<Figure, RunError> {
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 4 on the points of `sweep`: on a sweep that already drew
+/// Fig. 2, every point is a cache hit.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
     let mut figure = Figure::new(
         "Fig. 4",
         "energy reduction ratio vs the memory load of the system",
         "memory load of the system (%)",
         "energy reduction ratio (%)",
     );
-    let exec = executor(opts);
 
-    for vm_count in vm_count_sweep(opts) {
+    for vm_count in vm_count_sweep(sweep.opts()) {
         // (load, ratio) pairs; load varies inversely with inter-arrival.
         let mut pairs: Vec<(f64, f64)> = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(5.0)
-                .transition_time(1.0);
-            let point = exec.compare(&config, &COMPARED)?;
-            let load = pct(point.mean_mem_utilization(AllocatorKind::Ffps));
-            let ratio = pct(point.reduction_ratio(AllocatorKind::Ffps, AllocatorKind::Miec));
-            pairs.push((load, ratio));
+            let point = sweep.point(&point_config(vm_count, ia))?;
+            pairs.push((pct(point.ffps_mem), pct(point.reduction)));
         }
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();

@@ -5,12 +5,10 @@
 //! off becomes, and the more energy MIEC saves. The paper fits the
 //! 0.5-min and 1-min series linearly and the 3-min series exponentially.
 
-use super::{executor, interarrival_sweep, pct, COMPARED};
+use super::{interarrival_sweep, pct, point_config, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
 use esvm_analysis::fit::FitKind;
-use esvm_core::AllocatorKind;
-use esvm_workload::WorkloadConfig;
 
 /// Reproduces Fig. 5: 100 VMs on 50 servers, mean length 5 min, all VM
 /// and server types, transition time ∈ {0.5, 1, 3} min.
@@ -19,15 +17,18 @@ use esvm_workload::WorkloadConfig;
 ///
 /// Propagates the first [`RunError`].
 pub fn fig5(opts: &ExpOptions) -> Result<Figure, RunError> {
-    let vm_count = opts.scale_vms(100);
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 5 on the points of `sweep`.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
+    let vm_count = sweep.opts().scale_vms(100);
     let mut figure = Figure::new(
         "Fig. 5",
         "energy reduction ratio with varying transition time settings",
         "mean inter-arrival time",
         "energy reduction ratio (%)",
     );
-    let exec = executor(opts);
-
     for (transition, fit_kind) in [
         (0.5, FitKind::Linear),
         (1.0, FitKind::Linear),
@@ -36,15 +37,9 @@ pub fn fig5(opts: &ExpOptions) -> Result<Figure, RunError> {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(5.0)
-                .transition_time(transition);
-            let point = exec.compare(&config, &COMPARED)?;
+            let point = sweep.point(&point_config(vm_count, ia).transition_time(transition))?;
             xs.push(ia);
-            ys.push(pct(
-                point.reduction_ratio(AllocatorKind::Ffps, AllocatorKind::Miec),
-            ));
+            ys.push(pct(point.reduction));
         }
         figure.push(Series::with_fit(
             format!("transition time = {transition} min"),

@@ -5,12 +5,10 @@
 //! more → MIEC saves more. The paper fits the 2-min series
 //! logarithmically and the 5-/10-min series linearly.
 
-use super::{executor, interarrival_sweep, pct, COMPARED};
+use super::{interarrival_sweep, pct, point_config, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
 use esvm_analysis::fit::FitKind;
-use esvm_core::AllocatorKind;
-use esvm_workload::WorkloadConfig;
 
 /// Reproduces Fig. 6: 100 VMs on 50 servers, transition time 1 min, all
 /// VM and server types, mean VM length ∈ {2, 5, 10} min.
@@ -19,15 +17,18 @@ use esvm_workload::WorkloadConfig;
 ///
 /// Propagates the first [`RunError`].
 pub fn fig6(opts: &ExpOptions) -> Result<Figure, RunError> {
-    let vm_count = opts.scale_vms(100);
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 6 on the points of `sweep`.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
+    let vm_count = sweep.opts().scale_vms(100);
     let mut figure = Figure::new(
         "Fig. 6",
         "energy reduction ratio with varying mean length of VMs",
         "mean inter-arrival time",
         "energy reduction ratio (%)",
     );
-    let exec = executor(opts);
-
     for (mean_len, fit_kind) in [
         (2.0, FitKind::Logarithmic),
         (5.0, FitKind::Linear),
@@ -36,15 +37,9 @@ pub fn fig6(opts: &ExpOptions) -> Result<Figure, RunError> {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(mean_len)
-                .transition_time(1.0);
-            let point = exec.compare(&config, &COMPARED)?;
+            let point = sweep.point(&point_config(vm_count, ia).mean_duration(mean_len))?;
             xs.push(ia);
-            ys.push(pct(
-                point.reduction_ratio(AllocatorKind::Ffps, AllocatorKind::Miec),
-            ));
+            ys.push(pct(point.reduction));
         }
         figure.push(Series::with_fit(
             format!("mean length of time duration = {mean_len} min"),

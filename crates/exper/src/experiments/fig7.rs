@@ -7,12 +7,11 @@
 //! logarithmic, i.e. the ratio rises with inter-arrival time and then
 //! saturates as the load becomes very light.
 
-use super::{executor, interarrival_sweep, pct, vm_count_sweep, COMPARED};
+use super::{interarrival_sweep, pct, point_config, vm_count_sweep, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
 use esvm_analysis::fit::FitKind;
-use esvm_core::AllocatorKind;
-use esvm_workload::{catalog, WorkloadConfig};
+use esvm_workload::catalog;
 
 /// Reproduces Fig. 7: standard VM types only, server types 1–3 only,
 /// transition time 1 min, mean length 5 min.
@@ -21,29 +20,27 @@ use esvm_workload::{catalog, WorkloadConfig};
 ///
 /// Propagates the first [`RunError`].
 pub fn fig7(opts: &ExpOptions) -> Result<Figure, RunError> {
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 7 on the points of `sweep`.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
     let mut figure = Figure::new(
         "Fig. 7",
         "energy reduction ratio of the allocation of standard types of VMs on types 1-3 of servers",
         "mean inter-arrival time",
         "energy reduction ratio (%)",
     );
-    let exec = executor(opts);
 
-    for vm_count in vm_count_sweep(opts) {
+    for vm_count in vm_count_sweep(sweep.opts()) {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(5.0)
-                .transition_time(1.0)
+            let config = point_config(vm_count, ia)
                 .vm_types(catalog::standard_vm_types())
                 .server_types(catalog::server_types_1_3());
-            let point = exec.compare(&config, &COMPARED)?;
             xs.push(ia);
-            ys.push(pct(
-                point.reduction_ratio(AllocatorKind::Ffps, AllocatorKind::Miec),
-            ));
+            ys.push(pct(sweep.point(&config)?.reduction));
         }
         figure.push(Series::with_fit(
             format!("{vm_count} VMs"),

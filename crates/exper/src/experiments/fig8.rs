@@ -5,11 +5,10 @@
 //! in both fleets; FFPS drops to ~30 % when large servers (types 4–5)
 //! are in the fleet, because first-fit parks small VMs on big machines.
 
-use super::{executor, interarrival_sweep, pct, COMPARED};
+use super::{interarrival_sweep, pct, point_config, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
-use esvm_core::AllocatorKind;
-use esvm_workload::{catalog, ServerType, WorkloadConfig};
+use esvm_workload::{catalog, ServerType};
 
 /// Reproduces Fig. 8: standard VMs, 100 VMs on 50 servers, both server
 /// fleets. Sub-figure (a) series are labelled `(a) …` (all server
@@ -19,7 +18,12 @@ use esvm_workload::{catalog, ServerType, WorkloadConfig};
 ///
 /// Propagates the first [`RunError`].
 pub fn fig8(opts: &ExpOptions) -> Result<Figure, RunError> {
-    let vm_count = opts.scale_vms(100);
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 8 on the points of `sweep`.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
+    let vm_count = sweep.opts().scale_vms(100);
     let mut figure = Figure::new(
         "Fig. 8",
         format!(
@@ -28,8 +32,6 @@ pub fn fig8(opts: &ExpOptions) -> Result<Figure, RunError> {
         "mean inter-arrival time",
         "resource utilization (%)",
     );
-    let exec = executor(opts);
-
     let fleets: [(&str, Vec<ServerType>); 2] = [
         ("(a) all types", catalog::server_types().to_vec()),
         ("(b) types 1-3", catalog::server_types_1_3()),
@@ -41,18 +43,15 @@ pub fn fig8(opts: &ExpOptions) -> Result<Figure, RunError> {
         let mut cpu_ffps = Vec::new();
         let mut mem_ffps = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(5.0)
-                .transition_time(1.0)
+            let config = point_config(vm_count, ia)
                 .vm_types(catalog::standard_vm_types())
                 .server_types(fleet.clone());
-            let point = exec.compare(&config, &COMPARED)?;
+            let point = sweep.point(&config)?;
             xs.push(ia);
-            cpu_miec.push(pct(point.mean_cpu_utilization(AllocatorKind::Miec)));
-            mem_miec.push(pct(point.mean_mem_utilization(AllocatorKind::Miec)));
-            cpu_ffps.push(pct(point.mean_cpu_utilization(AllocatorKind::Ffps)));
-            mem_ffps.push(pct(point.mean_mem_utilization(AllocatorKind::Ffps)));
+            cpu_miec.push(pct(point.miec_cpu));
+            mem_miec.push(pct(point.miec_mem));
+            cpu_ffps.push(pct(point.ffps_cpu));
+            mem_ffps.push(pct(point.ffps_mem));
         }
         figure.push(Series::plain(
             format!("{tag} CPU utilization of MIEC"),

@@ -8,12 +8,11 @@
 //! curves sit above the types-1–3 curves (FFPS wastes more on big
 //! servers while MIEC is equally good in both fleets).
 
-use super::{executor, interarrival_sweep, pct, COMPARED};
+use super::{interarrival_sweep, pct, point_config, Sweep};
 use crate::runner::RunError;
 use crate::{ExpOptions, Figure, Series};
 use esvm_analysis::fit::FitKind;
-use esvm_core::AllocatorKind;
-use esvm_workload::{catalog, ServerType, WorkloadConfig};
+use esvm_workload::{catalog, ServerType};
 
 /// Reproduces Fig. 9: standard VMs on both fleets, reduction ratio
 /// plotted against the measured CPU and memory loads.
@@ -22,15 +21,19 @@ use esvm_workload::{catalog, ServerType, WorkloadConfig};
 ///
 /// Propagates the first [`RunError`].
 pub fn fig9(opts: &ExpOptions) -> Result<Figure, RunError> {
-    let vm_count = opts.scale_vms(100);
+    plot(&Sweep::new(opts))
+}
+
+/// Fig. 9 on the points of `sweep`: on a sweep that already drew
+/// Fig. 8, every point is a cache hit.
+pub(super) fn plot(sweep: &Sweep) -> Result<Figure, RunError> {
+    let vm_count = sweep.opts().scale_vms(100);
     let mut figure = Figure::new(
         "Fig. 9",
         "energy reduction ratio vs the load of the system",
         "load of the system (%)",
         "energy reduction ratio (%)",
     );
-    let exec = executor(opts);
-
     let fleets: [(&str, Vec<ServerType>); 2] = [
         ("all types of servers used", catalog::server_types().to_vec()),
         ("types 1-3 of servers used", catalog::server_types_1_3()),
@@ -39,16 +42,13 @@ pub fn fig9(opts: &ExpOptions) -> Result<Figure, RunError> {
         let mut cpu_pairs: Vec<(f64, f64)> = Vec::new();
         let mut mem_pairs: Vec<(f64, f64)> = Vec::new();
         for ia in interarrival_sweep() {
-            let config = WorkloadConfig::new(vm_count, (vm_count / 2).max(1))
-                .mean_interarrival(ia)
-                .mean_duration(5.0)
-                .transition_time(1.0)
+            let config = point_config(vm_count, ia)
                 .vm_types(catalog::standard_vm_types())
                 .server_types(fleet.clone());
-            let point = exec.compare(&config, &COMPARED)?;
-            let ratio = pct(point.reduction_ratio(AllocatorKind::Ffps, AllocatorKind::Miec));
-            cpu_pairs.push((pct(point.mean_cpu_utilization(AllocatorKind::Ffps)), ratio));
-            mem_pairs.push((pct(point.mean_mem_utilization(AllocatorKind::Ffps)), ratio));
+            let point = sweep.point(&config)?;
+            let ratio = pct(point.reduction);
+            cpu_pairs.push((pct(point.ffps_cpu), ratio));
+            mem_pairs.push((pct(point.ffps_mem), ratio));
         }
         for (kind_label, mut pairs) in [("CPU load", cpu_pairs), ("memory load", mem_pairs)] {
             pairs.sort_by(|a, b| a.0.total_cmp(&b.0));

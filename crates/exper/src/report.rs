@@ -144,17 +144,8 @@ pub fn html_report(opts: &ExpOptions) -> Result<String, RunError> {
         &energy_decomposition(opts)?,
     );
 
-    for f in [
-        experiments::fig2,
-        experiments::fig3,
-        experiments::fig4,
-        experiments::fig5,
-        experiments::fig6,
-        experiments::fig7,
-        experiments::fig8,
-        experiments::fig9,
-    ] {
-        push_figure(&mut html, &f(opts)?);
+    for figure in experiments::paper_figures(&experiments::Sweep::new(opts))? {
+        push_figure(&mut html, &figure);
     }
 
     push_table(

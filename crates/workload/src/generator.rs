@@ -83,7 +83,7 @@ impl From<esvm_simcore::Error> for GenerateError {
 /// assert_eq!(p.vm_count(), 200);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadConfig {
     vm_count: usize,
     server_count: usize,
